@@ -8,6 +8,12 @@ cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
+# The benchmark package is a workspace of its own that compiles against
+# these crates through an offline crossbeam stand-in (two-arm `select!`
+# only). Its smoke test catches a workspace API or channel-surface change
+# that would otherwise first fail in the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Bounded serving smoke: seeded closed-loop ingest + queries with epoch
 # verification on. Exits non-zero on any torn read or zero QPS. The second
 # run exercises the parallel writer (conflict-aware event micro-batching).
@@ -53,27 +59,28 @@ sample_digest=$(cargo run --release -p supa-bench --bin serve_bench -- \
   exit 1
 }
 
-# Sharding smoke: --shards 1 must be bit-identical to the unsharded engine
-# (same probe digest as the base run above), and every shard count >= 2
-# must pin one deterministic result (shards 2 == shards 4; the N >= 2
-# regime freezes the α drift scalars per conflict-free wave, so it is
-# pinned separately from the serial path — DESIGN.md §15). The shards=4
-# run additionally verifies epoch consistency under concurrent readers.
-shard1_digest=$(cargo run --release -p supa-bench --bin serve_bench -- \
-  --scale 0.01 --events 1500 --readers 2 --queries 100 --seed 7 \
-  --batch 256 --shards 1 | digest_of)
+# Wave-frozen regime smoke: every shard count >= 2 and every worker count
+# >= 2 select the same training regime (α drift scalars frozen per
+# conflict-free wave — DESIGN.md §10), so it is pinned once: shards 2 ==
+# shards 4 == workers 2. (--shards 1 is the same code path as the base run;
+# tests/sharding.rs keeps the None-vs-Some(1) assertion.) The shards=4 run
+# additionally verifies epoch consistency under concurrent readers.
 shard2_digest=$(cargo run --release -p supa-bench --bin serve_bench -- \
   --scale 0.01 --events 1500 --readers 2 --queries 100 --seed 7 \
   --batch 256 --shards 2 | digest_of)
 shard4_digest=$(cargo run --release -p supa-bench --bin serve_bench -- \
   --scale 0.01 --events 1500 --readers 2 --queries 100 --seed 7 \
   --batch 256 --shards 4 --verify | digest_of)
-[ "$base_digest" = "$shard1_digest" ] || {
-  echo "ci: --shards 1 diverged from the unsharded engine ($base_digest vs $shard1_digest)" >&2
-  exit 1
-}
+workers2_digest=$(cargo run --release -p supa-bench --bin serve_bench -- \
+  --scale 0.01 --events 1500 --readers 2 --queries 100 --seed 7 \
+  --batch 256 --workers 2 | digest_of)
+[ -n "$shard2_digest" ] || { echo "ci: no probe digest in sharded serve_bench output" >&2; exit 1; }
 [ "$shard2_digest" = "$shard4_digest" ] || {
   echo "ci: shards 2 and 4 must pin one result ($shard2_digest vs $shard4_digest)" >&2
+  exit 1
+}
+[ "$shard2_digest" = "$workers2_digest" ] || {
+  echo "ci: --workers 2 left the wave-frozen regime ($shard2_digest vs $workers2_digest)" >&2
   exit 1
 }
 

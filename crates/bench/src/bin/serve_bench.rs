@@ -278,7 +278,7 @@ fn run_closed(d: &Dataset, a: &Args) -> Result<(), String> {
 
 /// Closed-loop bench against a TSV dump on disk: the dump is scanned once
 /// (validation + node universe), then its edges are streamed straight into
-/// the engine's ingest lanes without ever being materialised.
+/// the engine's ingest queue without ever being materialised.
 fn run_streamed(path: &std::path::Path, a: &Args) -> Result<(), String> {
     let opts = IngestOptions {
         interner_budget: if a.interner_budget > 0 {

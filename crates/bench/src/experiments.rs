@@ -1276,7 +1276,7 @@ pub fn throughput(cfg: &HarnessConfig) -> Vec<Table> {
 /// `N ∈ {2, 4, 8, 16}`: the fraction of events whose footprint crosses
 /// shards, the fraction of touched rows owned by a foreign shard, and the
 /// ownership balance (max/mean events per shard). Cross-shard events are
-/// the ones the sharded engine must serialize at the doorbell, so these
+/// the ones the sharded engine must train in one global order, so these
 /// rates are the empirical justification for the source-user key (see
 /// DESIGN.md §15).
 ///
@@ -1884,7 +1884,7 @@ pub fn ingest(cfg: &HarnessConfig) -> Vec<Table> {
     let mat_secs = t0.elapsed().as_secs_f64().max(1e-9);
     let mat_eps = mrep.events_offered as f64 / (mat_secs + load_secs);
 
-    // --- streamed leg: edges go disk → ingest lanes, never a Vec ---------
+    // --- streamed leg: edges go disk → ingest queue, never a Vec ---------
     let t0 = Instant::now();
     let scan = scan_tsv(&dump, &IngestOptions::default()).expect("scan dump");
     let scan_secs = t0.elapsed().as_secs_f64();

@@ -414,145 +414,65 @@ impl Supa {
         loss
     }
 
-    /// Convenience: train an entire (time-sorted) edge slice once, returning
-    /// the mean total loss. Shuffles nothing — the stream order *is* the
-    /// curriculum.
-    ///
-    /// With [`Supa::set_shards`] ≥ 2 this dispatches to the user-partitioned
-    /// sharded pass (see [`Supa::set_shards`]); otherwise
-    /// [`Supa::set_workers`] > 1 dispatches to
-    /// [`Supa::train_pass_batched`]; the default (`workers = 1`) is the
-    /// exact serial per-event loop.
+    /// Trains an entire (time-sorted) edge slice once, returning the mean
+    /// total loss. Shuffles nothing — the stream order *is* the curriculum.
+    /// Exactly [`Supa::train_pass_weighted`] with no weights.
     pub fn train_pass(&mut self, g: &Dmhg, edges: &[TemporalEdge]) -> f64 {
-        if self.shards > 1 {
-            return self.train_pass_sharded_impl(g, edges, None);
-        }
-        if self.workers > 1 {
-            return self.train_pass_batched(g, edges, self.workers);
-        }
-        if edges.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for e in edges {
-            total += self.train_edge(g, e).total();
-        }
-        total / edges.len() as f64
+        self.train_pass_weighted(g, edges, None)
     }
 
-    /// [`Supa::train_pass`] with an optional per-event importance weight:
-    /// event `i`'s parameter update (the applied Adam step, see
-    /// [`Supa::apply_grads`]) is scaled by `weights[i]`. A shedding sampler
-    /// that admits 1-in-`k` events and trains the survivors with weight `k`
-    /// preserves the stream's expected update mass.
+    /// The one training pass. Event `i`'s parameter update (the applied
+    /// Adam step, see [`Supa::apply_grads`]) is scaled by `weights[i]`;
+    /// `None` is weight `1.0` for every event, which is bit-identical to an
+    /// unweighted step. A shedding sampler that admits 1-in-`k` events and
+    /// trains the survivors with weight `k` preserves the stream's expected
+    /// update mass.
     ///
-    /// `weights: None` is the exact unweighted pass — same code path,
-    /// bit-identical results.
+    /// The pass is four phases, the same in both digest regimes:
+    ///
+    /// 1. **Sampling is serial.** Every event's walks and negatives are drawn
+    ///    up front in stream order into one [`SampleArena`]; sampling reads
+    ///    no embedding state, so the RNG stream is what per-event
+    ///    [`Supa::train_edge`] calls would draw.
+    /// 2. **Waves are contiguous.** In the *serial* regime (`workers = 1` and
+    ///    `shards = 1`) every wave is one event, so the pass is bit-identical
+    ///    to a `train_edge` loop. In the *wave-frozen* regime (`workers ≥ 2`
+    ///    or `shards ≥ 2`) a wave is the maximal run of consecutive events
+    ///    whose touched-node sets (endpoints ∪ walk steps ∪ negatives) are
+    ///    pairwise disjoint — tracked with a stamp-based mark set, no
+    ///    per-wave hashing or allocation. Within a wave the events' sparse
+    ///    row reads/writes land on disjoint rows, so their updates commute
+    ///    exactly; only the shared `α` drift scalars are read frozen per
+    ///    wave instead of per event, which is the whole difference between
+    ///    the two regimes.
+    /// 3. **Gradients are pure reads** against the frozen pre-wave state,
+    ///    reassembled by event index, so *any* partition of a wave yields
+    ///    the same bits. Long waves are split into contiguous chunks by
+    ///    [`supa_par::WorkerPool::map`]; waves with fewer than
+    ///    [`MIN_EVENTS_PER_WORKER`] events per worker run inline on pooled
+    ///    buffers.
+    /// 4. **Application is serial**, in event order — per-row Adam, the `α`
+    ///    scalars, and the touch log all see the stream order.
+    ///
+    /// The regime is a function of configuration alone. The host's core
+    /// count only caps how many threads phase 3 spawns — never which bits
+    /// come out.
     pub fn train_pass_weighted(
         &mut self,
         g: &Dmhg,
         edges: &[TemporalEdge],
         weights: Option<&[f32]>,
     ) -> f64 {
-        let Some(w) = weights else {
-            return self.train_pass(g, edges);
-        };
-        assert_eq!(
-            edges.len(),
-            w.len(),
-            "train_pass_weighted: one weight per event"
-        );
-        if self.shards > 1 {
-            return self.train_pass_sharded_impl(g, edges, Some(w));
-        }
-        if self.workers > 1 {
-            return self.train_pass_batched_impl(g, edges, Some(w), self.workers);
+        if let Some(w) = weights {
+            assert_eq!(
+                edges.len(),
+                w.len(),
+                "train_pass_weighted: one weight per event"
+            );
         }
         if edges.is_empty() {
             return 0.0;
         }
-        let mut total = 0.0;
-        for (e, &wt) in edges.iter().zip(w) {
-            self.event_weight = wt;
-            total += self.train_edge(g, e).total();
-        }
-        self.event_weight = 1.0;
-        total / edges.len() as f64
-    }
-
-    /// Conflict-aware event micro-batching: trains `edges` with gradient
-    /// computation fanned out across `workers` threads while preserving the
-    /// stream curriculum.
-    ///
-    /// How it stays deterministic (and faithful):
-    ///
-    /// 1. **Sampling is serial.** Every event's walks and negatives are drawn
-    ///    up front in stream order into one [`SampleArena`]; sampling reads
-    ///    no embedding state, so the RNG stream is *identical* to the serial
-    ///    path's.
-    /// 2. **Waves are contiguous.** A wave is the maximal run of consecutive
-    ///    events whose touched-node sets (endpoints ∪ walk steps ∪
-    ///    negatives) are pairwise disjoint — tracked with a stamp-based mark
-    ///    set, no per-wave hashing or allocation. Within a wave the events'
-    ///    sparse row reads/writes land on disjoint rows, so their updates
-    ///    commute exactly; across waves, stream order (and thus event
-    ///    causality) is preserved.
-    /// 3. **Gradients are pure reads** against the frozen pre-wave state and
-    ///    are reassembled in input order by [`supa_par::WorkerPool::map`], so
-    ///    the result does not depend on thread scheduling. Short waves
-    ///    (fewer than [`MIN_EVENTS_PER_WORKER`] events per worker, where a
-    ///    thread spawn would cost more than it buys) run inline on pooled
-    ///    buffers with the *same* frozen-state semantics, so the result is
-    ///    also independent of where that threshold falls.
-    /// 4. **Application is serial**, in event order — per-row Adam, the `α`
-    ///    drift scalars, and the touch log all see the serial order.
-    ///
-    /// The worker fan-out is additionally clamped to the machine's available
-    /// parallelism: oversubscribed spawns only add overhead, never change
-    /// results.
-    ///
-    /// When the effective fan-out is 1 — `workers ≤ 1`, or a single-core
-    /// machine — the pass falls back to the exact per-event serial loop,
-    /// bit-identical to [`Supa::train_pass`] with `workers = 1`: with no
-    /// threads to overlap, bulk sampling and wave building are pure
-    /// overhead. Any fan-out ≥ 2 yields one deterministic result,
-    /// independent of the actual worker count; it can differ from the
-    /// serial result only in that the `α` scalars are frozen per wave
-    /// instead of per event.
-    pub fn train_pass_batched(&mut self, g: &Dmhg, edges: &[TemporalEdge], workers: usize) -> f64 {
-        self.train_pass_batched_impl(g, edges, None, workers)
-    }
-
-    /// Batched pass body; `weights` (if any) scales event `i`'s applied
-    /// update exactly as in [`Supa::train_pass_weighted`]. Application is
-    /// serial and in stream order in every branch, so the per-event weight
-    /// is set immediately before each `apply_grads`.
-    fn train_pass_batched_impl(
-        &mut self,
-        g: &Dmhg,
-        edges: &[TemporalEdge],
-        weights: Option<&[f32]>,
-        workers: usize,
-    ) -> f64 {
-        let workers = supa_par::effective_workers(workers).max(1);
-        if edges.is_empty() {
-            return 0.0;
-        }
-        let fan_out = workers.min(supa_par::available_workers()).max(1);
-        if fan_out <= 1 {
-            let mut total = 0.0;
-            for (k, e) in edges.iter().enumerate() {
-                if let Some(w) = weights {
-                    self.event_weight = w[k];
-                }
-                total += self.train_edge(g, e).total();
-            }
-            if weights.is_some() {
-                self.event_weight = 1.0;
-            }
-            return total / edges.len() as f64;
-        }
-
         // Preamble, once per pass (equivalent to `train_edge`'s per-event
         // preamble: capacity depends only on the graph, and the sampler
         // rebuild only triggers when all samplers are absent).
@@ -560,248 +480,77 @@ impl Supa {
         if self.variant.use_neg && self.neg_samplers.iter().all(Option::is_none) {
             self.rebuild_negative_samplers(g);
         }
-
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.prepare(&self.cfg);
         scratch.arena.clear();
 
+        let fan_out = self.workers.max(self.shards);
+        let frozen = fan_out >= 2;
         // Phase 1 — draw all stochastic choices serially, in stream order.
         for e in edges {
             self.sample_event_into(g, e, &mut scratch.arena, &mut scratch.neg_tmp);
         }
-
-        let pool = supa_par::WorkerPool::new(fan_out);
+        // The core count is only asked for when there is fan-out to clamp:
+        // the query reads cgroup files, which the serial path must not pay
+        // once per chunk.
+        let mut pool = supa_par::WorkerPool::new(1);
+        if frozen {
+            pool = supa_par::WorkerPool::new(fan_out.min(supa_par::available_workers()));
+            scratch.marks.ensure_len(g.num_nodes());
+        }
         let mut total = 0.0;
-        scratch.marks.ensure_len(g.num_nodes());
         let mut start = 0usize;
         while start < edges.len() {
-            // Phase 2 — extend the wave while touched sets stay disjoint.
-            scratch.marks.clear();
+            // Phase 2 — one event, or (wave-frozen) extend the wave while
+            // touched sets stay disjoint.
             let mut end = start;
-            while end < edges.len() {
-                touched_nodes(&edges[end], &scratch.arena, end, &mut scratch.touched);
-                if end > start && scratch.touched.iter().any(|&n| scratch.marks.is_marked(n)) {
-                    break;
-                }
-                for &n in &scratch.touched {
-                    scratch.marks.mark(n);
-                }
-                end += 1;
-            }
-
-            // Phase 3 — pure-read gradients against frozen pre-wave state,
-            // threaded for long waves and inline (on pooled buffers) for
-            // short ones; either way all of the wave's gradients see the
-            // same frozen state.
-            let wave = end - start;
-            if wave < fan_out * MIN_EVENTS_PER_WORKER {
-                while scratch.wave.len() < wave {
-                    scratch.wave.push(GradScratch::default());
-                }
-                for k in 0..wave {
-                    let loss = self.grads_into(
-                        g,
-                        &edges[start + k],
-                        &scratch.arena,
-                        start + k,
-                        &mut scratch.wave[k],
-                    );
-                    scratch.wave[k].loss = loss;
-                }
-                // Phase 4 — serial, in-order application.
-                for (k, ws) in scratch.wave[..wave].iter().enumerate() {
-                    if let Some(w) = weights {
-                        self.event_weight = w[start + k];
+            if frozen {
+                scratch.marks.clear();
+                while end < edges.len() {
+                    touched_nodes(&edges[end], &scratch.arena, end, &mut scratch.touched);
+                    if end > start && scratch.touched.iter().any(|&n| scratch.marks.is_marked(n)) {
+                        break;
                     }
-                    total += ws.loss.total();
-                    self.apply_grads(&ws.grads);
+                    for &n in &scratch.touched {
+                        scratch.marks.mark(n);
+                    }
+                    end += 1;
                 }
             } else {
-                let wave_edges = &edges[start..end];
-                let arena = &scratch.arena;
-                let results = {
-                    let this: &Supa = self;
-                    pool.map(wave_edges, |k, e| {
-                        let mut ws = GradScratch::default();
-                        let loss = this.grads_into(g, e, arena, start + k, &mut ws);
-                        (loss, ws)
-                    })
-                };
-                for (k, (loss, ws)) in results.iter().enumerate() {
-                    if let Some(w) = weights {
-                        self.event_weight = w[start + k];
-                    }
-                    total += loss.total();
-                    self.apply_grads(&ws.grads);
-                }
-            }
-            start = end;
-        }
-        if weights.is_some() {
-            self.event_weight = 1.0;
-        }
-        self.scratch = scratch;
-        total / edges.len() as f64
-    }
-
-    /// User-partitioned sharded pass: the same serial-sampling /
-    /// disjoint-wave / frozen-state structure as
-    /// [`Supa::train_pass_batched`], with each wave's gradient work grouped
-    /// by the shard owning the event's source user
-    /// (`supa_par::shard_of(src, shards)`) instead of split into contiguous
-    /// worker chunks.
-    ///
-    /// Because a wave's gradients are pure reads of the frozen pre-wave
-    /// state reassembled by event index, *any* partition of the wave —
-    /// contiguous chunks, shard-keyed groups, inline execution — produces
-    /// bitwise-identical results. Three consequences this pass pins:
-    ///
-    /// - every shard count ≥ 2 yields the same result (the grouping drops
-    ///   out), equal to the `workers ≥ 2` micro-batched result;
-    /// - the result is host-independent: unlike the worker fan-out, the
-    ///   shard partition is never clamped to the machine's core count — on
-    ///   a single core the shard groups are computed serially with the same
-    ///   frozen-state semantics (no thread spawns, bounded overhead);
-    /// - it differs from the serial `shards = 1` path only in that the `α`
-    ///   drift scalars are frozen per wave instead of per event — exactly
-    ///   the batched path's deviation.
-    ///
-    /// Shard groups run on one scoped thread per non-empty shard when the
-    /// machine has the cores for it and the wave is long enough to amortize
-    /// the spawns; the thread ↔ shard affinity keeps each worker on its own
-    /// users' rows.
-    fn train_pass_sharded_impl(
-        &mut self,
-        g: &Dmhg,
-        edges: &[TemporalEdge],
-        weights: Option<&[f32]>,
-    ) -> f64 {
-        let shards = self.shards.max(2);
-        if edges.is_empty() {
-            return 0.0;
-        }
-
-        // Preamble, once per pass (as in the batched path).
-        self.ensure_capacity(g.num_nodes());
-        if self.variant.use_neg && self.neg_samplers.iter().all(Option::is_none) {
-            self.rebuild_negative_samplers(g);
-        }
-
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.prepare(&self.cfg);
-        scratch.arena.clear();
-
-        // Phase 1 — draw all stochastic choices serially, in stream order.
-        for e in edges {
-            self.sample_event_into(g, e, &mut scratch.arena, &mut scratch.neg_tmp);
-        }
-
-        let threads_available = supa_par::available_workers() > 1;
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        let mut total = 0.0;
-        scratch.marks.ensure_len(g.num_nodes());
-        let mut start = 0usize;
-        while start < edges.len() {
-            // Phase 2 — extend the wave while touched sets stay disjoint
-            // (identical to the batched path: same waves, same marks).
-            scratch.marks.clear();
-            let mut end = start;
-            while end < edges.len() {
-                touched_nodes(&edges[end], &scratch.arena, end, &mut scratch.touched);
-                if end > start && scratch.touched.iter().any(|&n| scratch.marks.is_marked(n)) {
-                    break;
-                }
-                for &n in &scratch.touched {
-                    scratch.marks.mark(n);
-                }
                 end += 1;
             }
 
-            // Phase 3 — group the wave by owning shard of the source user.
+            // Phase 3 — pure-read gradients against the pre-wave state.
             let wave = end - start;
-            for grp in &mut groups {
-                grp.clear();
+            while scratch.wave.len() < wave {
+                scratch.wave.push(GradScratch::default());
             }
-            for k in 0..wave {
-                groups[supa_par::shard_of(edges[start + k].src.0, shards)].push(k);
-            }
-            let busy = groups.iter().filter(|grp| !grp.is_empty()).count();
-            if threads_available && busy >= 2 && wave >= 2 * MIN_EVENTS_PER_WORKER {
-                // One scoped thread per non-empty shard, each reading the
-                // frozen pre-wave state for its own users' events.
+            if wave < pool.workers() * MIN_EVENTS_PER_WORKER {
+                for (k, ws) in scratch.wave[..wave].iter_mut().enumerate() {
+                    ws.loss = self.grads_into(g, &edges[start + k], &scratch.arena, start + k, ws);
+                }
+            } else {
                 let arena = &scratch.arena;
                 let this: &Supa = self;
-                let computed: Vec<Vec<(usize, EventLoss, GradScratch)>> =
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = groups
-                            .iter()
-                            .filter(|grp| !grp.is_empty())
-                            .map(|grp| {
-                                scope.spawn(move || {
-                                    grp.iter()
-                                        .map(|&k| {
-                                            let mut ws = GradScratch::default();
-                                            let loss = this.grads_into(
-                                                g,
-                                                &edges[start + k],
-                                                arena,
-                                                start + k,
-                                                &mut ws,
-                                            );
-                                            (k, loss, ws)
-                                        })
-                                        .collect()
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("shard worker panicked"))
-                            .collect()
-                    });
-                // Scatter by wave index, then apply serially in stream
-                // order — identical bits to the inline branch below.
-                while scratch.wave.len() < wave {
-                    scratch.wave.push(GradScratch::default());
-                }
-                for shard_results in computed {
-                    for (k, loss, ws) in shard_results {
-                        scratch.wave[k] = ws;
-                        scratch.wave[k].loss = loss;
-                    }
-                }
-            } else {
-                // Single core (or a wave too short to amortize spawns):
-                // compute each shard group in place on the pooled buffers.
-                while scratch.wave.len() < wave {
-                    scratch.wave.push(GradScratch::default());
-                }
-                for grp in &groups {
-                    for &k in grp {
-                        let loss = self.grads_into(
-                            g,
-                            &edges[start + k],
-                            &scratch.arena,
-                            start + k,
-                            &mut scratch.wave[k],
-                        );
-                        scratch.wave[k].loss = loss;
-                    }
+                let computed = pool.map(&edges[start..end], |k, e| {
+                    let mut ws = GradScratch::default();
+                    ws.loss = this.grads_into(g, e, arena, start + k, &mut ws);
+                    ws
+                });
+                for (slot, ws) in scratch.wave.iter_mut().zip(computed) {
+                    *slot = ws;
                 }
             }
+
             // Phase 4 — serial, in-order application.
             for (k, ws) in scratch.wave[..wave].iter().enumerate() {
-                if let Some(w) = weights {
-                    self.event_weight = w[start + k];
-                }
+                self.event_weight = weights.map_or(1.0, |w| w[start + k]);
                 total += ws.loss.total();
                 self.apply_grads(&ws.grads);
             }
             start = end;
         }
-        if weights.is_some() {
-            self.event_weight = 1.0;
-        }
+        self.event_weight = 1.0;
         self.scratch = scratch;
         total / edges.len() as f64
     }

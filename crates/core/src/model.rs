@@ -141,14 +141,13 @@ pub struct Supa {
     /// appended here (the serving layer's cache-invalidation feed). `None`
     /// costs nothing on the training path.
     pub(crate) touch_log: Option<Vec<u32>>,
-    /// Worker threads used by `train_pass` for conflict-aware event
-    /// micro-batching. `1` (the default) is the exact serial path.
+    /// Gradient fan-out requested for `train_pass`. `1` (the default) with
+    /// `shards = 1` is the serial digest regime; `≥ 2` selects the
+    /// wave-frozen regime (see [`Supa::set_workers`]).
     pub(crate) workers: usize,
-    /// User-partition shard count for `train_pass`. `1` (the default) leaves
-    /// dispatch to `workers`; `>= 2` routes gradient work by the owning
-    /// shard of each event's source user (`supa_par::shard_of`), producing a
-    /// pinned result that is identical for every shard count `>= 2` and
-    /// independent of the host's core count.
+    /// Serving shard count. `≥ 2` selects the wave-frozen regime exactly as
+    /// `workers ≥ 2` does and requests the same fan-out (see
+    /// [`Supa::set_shards`]).
     pub(crate) shards: usize,
     /// Importance weight applied to the *next* event's parameter update.
     /// Scales the Adam step (the learning rate), not the raw gradient:
@@ -355,12 +354,16 @@ impl Supa {
         }
     }
 
-    /// Sets the worker-thread count used by [`Supa::train_pass`] (and hence
-    /// InsLearn and the serving writer) for conflict-aware event
-    /// micro-batching. `1` is the exact serial path; `0` resolves to the
-    /// machine's available parallelism. Results with `workers = 1` are
-    /// bit-identical to the serial implementation; any `workers ≥ 2` gives a
-    /// single deterministic batched result (see `train_pass_batched`).
+    /// Sets the gradient fan-out of [`Supa::train_pass`] (and hence InsLearn
+    /// and the serving writer). Together with [`Supa::set_shards`] it also
+    /// selects the digest regime, from configuration alone: `workers = 1`
+    /// and `shards = 1` train serially, bit-identical to a
+    /// [`Supa::train_edge`] loop; `workers ≥ 2` or `shards ≥ 2` freeze the
+    /// `α` drift scalars per conflict-free wave and give one deterministic
+    /// result for every such setting on every host — the core count only
+    /// caps how many threads are spawned. `0` resolves to the machine's
+    /// available parallelism *here*, so it is the one setting whose regime
+    /// depends on the host (serial on a single core).
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = supa_par::effective_workers(workers).max(1);
     }
@@ -376,17 +379,13 @@ impl Supa {
         self.workers
     }
 
-    /// Sets the user-partition shard count used by [`Supa::train_pass`].
-    ///
-    /// `0` or `1` disables sharded dispatch (the `workers` setting then
-    /// decides between the exact serial path and conflict-aware
-    /// micro-batching). Any `shards >= 2` routes each wave's gradient work
-    /// by the shard owning the event's source user and yields one pinned
-    /// deterministic result: identical for every shard count `>= 2`,
-    /// identical on every host (the shard partition, unlike the worker
-    /// fan-out, is never clamped by the machine's core count), and equal to
-    /// the `workers >= 2` micro-batched result because both freeze the same
-    /// pre-wave state (see `train_pass_sharded`).
+    /// Tells the trainer how many shards the serving engine runs. The
+    /// trainer itself is one sequential update stream — sharding partitions
+    /// guards, caches, metrics and ANN maintenance, not training — so the
+    /// count only matters as `≥ 2`: it selects the wave-frozen regime and
+    /// requests that much gradient fan-out, exactly like `workers ≥ 2` (see
+    /// [`Supa::set_workers`]); every shard count `≥ 2` therefore yields the
+    /// same bits as every worker count `≥ 2`. `0` is read as `1`.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }

@@ -39,8 +39,8 @@ pub(crate) struct SampleMeta {
 
 /// Flat storage for the stochastic choices of one *or many* events: all
 /// walks in one [`FlatWalks`], all negatives in one `Vec`, with per-event
-/// [`SampleMeta`] ranges. The serial path holds one event at a time; the
-/// batched path samples a whole pass into it up front.
+/// [`SampleMeta`] ranges. `train_edge` holds one event at a time; a training
+/// pass samples all of its events into it up front.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SampleArena {
     pub walks: FlatWalks,
@@ -92,8 +92,8 @@ pub(crate) struct GradScratch {
     pub hr_v: Vec<f32>,
     /// The event's sparse gradient bundle (pooled rows).
     pub grads: EventGrads,
-    /// The event's loss, stashed here by the batched inline path so waves
-    /// can compute first and apply in order without a side allocation.
+    /// The event's loss, stashed here so a wave can compute first and apply
+    /// in order without a side allocation.
     pub loss: EventLoss,
 }
 
@@ -139,15 +139,16 @@ impl NodeMarks {
 /// All reusable hot-path state of one model (see module docs).
 #[derive(Debug, Default)]
 pub(crate) struct SupaScratch {
-    /// Frozen stochastic choices (one event serially, a pass when batched).
+    /// Frozen stochastic choices (one event for `train_edge`, a whole pass
+    /// for `train_pass`).
     pub arena: SampleArena,
     /// Staging buffer for `NegativeSampler::sample_many` (which clears its
     /// output) before appending into the arena's flat `negs`.
     pub neg_tmp: Vec<u32>,
-    /// Loss/gradient working buffers for the serial path.
+    /// Loss/gradient working buffers for `train_edge` / `edge_loss`.
     pub work: GradScratch,
-    /// Per-event gradient scratches for inline (non-threaded) wave
-    /// processing in the batched path; grows to the longest wave seen.
+    /// Per-event gradient scratches of the current wave; grows to the
+    /// longest wave seen (one in the serial regime).
     pub wave: Vec<GradScratch>,
     /// Touched-node staging for the wave builder.
     pub touched: Vec<u32>,
@@ -193,7 +194,7 @@ impl SupaScratch {
 /// embedding rows event `idx` can read *or* write — the endpoints, every
 /// walk-step node, and every negative. Two events with disjoint touched
 /// sets commute exactly (only the `α` drift scalars are shared — the
-/// batched path freezes those per wave).
+/// wave-frozen regime freezes those per wave).
 pub(crate) fn touched_nodes(e: &TemporalEdge, arena: &SampleArena, idx: usize, out: &mut Vec<u32>) {
     out.clear();
     out.push(e.src.0);

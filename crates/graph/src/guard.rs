@@ -177,6 +177,38 @@ impl QuarantineReport {
         )
     }
 
+    /// Adds `other`'s tallies into `self` (the engine-level report is the sum
+    /// of its per-shard guards'). Fault samples are concatenated in call
+    /// order; their stream positions stay per-guard admission counts.
+    /// `other` is destructured exhaustively, so a counter added to the
+    /// struct cannot be forgotten here.
+    pub fn merge(&mut self, other: QuarantineReport) {
+        let QuarantineReport {
+            admitted,
+            clamped,
+            quarantined,
+            non_finite_time,
+            negative_time,
+            unknown_node,
+            unknown_relation,
+            endpoint_mismatch,
+            out_of_order,
+            duplicate,
+            samples,
+        } = other;
+        self.admitted += admitted;
+        self.clamped += clamped;
+        self.quarantined += quarantined;
+        self.non_finite_time += non_finite_time;
+        self.negative_time += negative_time;
+        self.unknown_node += unknown_node;
+        self.unknown_relation += unknown_relation;
+        self.endpoint_mismatch += endpoint_mismatch;
+        self.out_of_order += out_of_order;
+        self.duplicate += duplicate;
+        self.samples.extend(samples);
+    }
+
     fn record_fault(&mut self, position: u64, fault: EventFault) {
         match fault {
             EventFault::NonFiniteTime => self.non_finite_time += 1,
@@ -380,6 +412,41 @@ mod tests {
 
     fn ok_edge(us: &[NodeId], vs: &[NodeId], r: RelationId, t: f64) -> TemporalEdge {
         TemporalEdge::new(us[0], vs[0], r, t)
+    }
+
+    #[test]
+    fn merge_carries_every_counter_and_all_samples() {
+        let part = |base: usize, fault: EventFault| QuarantineReport {
+            admitted: base + 1,
+            clamped: base + 2,
+            quarantined: base + 3,
+            non_finite_time: base + 4,
+            negative_time: base + 5,
+            unknown_node: base + 6,
+            unknown_relation: base + 7,
+            endpoint_mismatch: base + 8,
+            out_of_order: base + 9,
+            duplicate: base + 10,
+            samples: vec![(base as u64, fault)],
+        };
+        let mut total = part(0, EventFault::Duplicate);
+        total.merge(part(100, EventFault::OutOfOrder));
+        assert_eq!(
+            total,
+            QuarantineReport {
+                admitted: 102,
+                clamped: 104,
+                quarantined: 106,
+                non_finite_time: 108,
+                negative_time: 110,
+                unknown_node: 112,
+                unknown_relation: 114,
+                endpoint_mismatch: 116,
+                out_of_order: 118,
+                duplicate: 120,
+                samples: vec![(0, EventFault::Duplicate), (100, EventFault::OutOfOrder)],
+            }
+        );
     }
 
     #[test]

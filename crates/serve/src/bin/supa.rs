@@ -49,14 +49,16 @@
 //! them, `clamp` repairs what is repairable and quarantines the rest.
 //!
 //! `--workers N` fans the training gradient computation out across `N`
-//! threads via conflict-aware event micro-batching (`0` = machine
-//! parallelism). `--workers 1` (the default) is the exact serial path.
+//! threads via conflict-aware event micro-batching. `--workers 1` (the
+//! default) is the exact serial path; every `N >= 2` yields one result on
+//! every host; `0` resolves to the machine's parallelism.
 //!
-//! `--shards N` partitions the serving engine into `N` user-sharded writer
-//! lanes with a deterministic global event order, per-shard ANN indexes, and
-//! two-phase epoch publication. `--shards 1` (the default) is the
-//! single-writer engine, bit-identical to prior releases; every `N >= 2`
-//! produces one pinned, shard-count-independent result.
+//! `--shards N` partitions the serving engine's guards, admission ladders,
+//! caches, metrics and ANN indexes `N` ways by source user behind the one
+//! ingest queue (queue order is the global event order), with two-phase
+//! epoch publication. `--shards 1` (the default) is the single-writer
+//! engine, bit-identical to prior releases; every `N >= 2` produces one
+//! pinned, shard-count-independent result — the `--workers >= 2` digest.
 //!
 //! `serve` runs the closed-loop serving engine of `supa-serve`: the
 //! dataset's event stream is replayed through a bounded ingest queue into

@@ -4,16 +4,18 @@
 //!
 //! # Concurrency model
 //!
-//! - **Ingest** is a bounded MPMC channel: under the default
+//! - **Ingest** is one bounded MPMC channel, for every shard count: queue
+//!   order *is* the global event order. Under the default
 //!   [`ShedPolicy::Block`] producers block when the writer falls behind
 //!   (backpressure, never unbounded growth). The other shedding policies
 //!   trade completeness for bounded producer latency — see
 //!   [`crate::admission`] for the degradation ladder that decides *when*
 //!   events are shed and [`AdmissionOptions`] for the knobs.
 //! - **Control** (flush/shutdown/kill) travels on a separate unbounded
-//!   channel; the writer drains every already-queued event before honoring
-//!   a control message, so the observable event order is exactly the queue
-//!   order — identical to the single-queue engine this replaced.
+//!   channel, so it can never be shed and never waits behind a full queue;
+//!   before honoring a control message the writer drains exactly the events
+//!   that were queued when it dequeued the message, so control never
+//!   overtakes data and a busy producer cannot hold a flush open.
 //! - **Training** is single-writer: the writer thread exclusively owns the
 //!   graph, the model, the guard, and the checkpoint manager. No lock is
 //!   ever held during training.
@@ -30,27 +32,24 @@
 //!
 //! # Sharding ([`ServeConfig::shards`])
 //!
-//! With `shards = N > 1` the engine is partitioned by the owning shard of
-//! each event's *source user* (`supa_par::shard_of`, a splitmix64 hash, so
-//! ownership is host-independent): each shard gets its own bounded ingest
-//! lane, [`StreamGuard`], admission ladder, metrics block, and query cache.
-//! A producer stamps every event with a global sequence number under one
-//! mutex, deposits it in its shard's lane, and rings an unbounded *doorbell*
-//! channel with `(seq, shard)`; the writer spine consumes doorbells in order
-//! — that order **is** the deterministic global event order — and pulls each
-//! event from the fronted lane, so the trained result is a pure function of
-//! the producers' arrival order exactly as in the unsharded engine. Training
-//! partitions each conflict-free wave's gradient work by the same shard key
-//! (`Supa::set_shards`), and epoch publication is a two-phase barrier:
-//! per-shard ANN refreshes run (in parallel where cores allow) to the common
-//! epoch number, then one composed [`EpochSnapshot`] is swapped in atomically
-//! — readers can never observe two shards at different epochs. `shards = 1`
-//! routes through the legacy single-queue code paths untouched and is
-//! bit-identical to the pre-sharding engine; any `N ≥ 2` produces one
-//! pinned, deterministic result independent of N and of the host's core
-//! count.
+//! The engine is partitioned by the owning shard of each event's *source
+//! user* (`supa_par::shard_of`, a splitmix64 hash, so ownership is
+//! host-independent): each shard gets its own [`StreamGuard`], admission
+//! ladder, metrics block, and query cache, and the unsharded engine is the
+//! one-shard case of the same code. Sharding does not touch transport or
+//! training order: every event travels the one ingest queue, the writer
+//! derives the owning shard from the event it dequeues, and each shard's
+//! ladder watches a per-shard in-flight counter (incremented on enqueue,
+//! decremented on dequeue or eviction) against its share of the queue
+//! capacity. Epoch publication is a two-phase barrier: per-shard ANN
+//! refreshes run (in parallel where cores allow) to the common epoch number,
+//! then one composed [`EpochSnapshot`] is swapped in atomically — readers
+//! can never observe two shards at different epochs. `shards = 1` trains in
+//! the serial digest regime and any `N ≥ 2` in the wave-frozen one
+//! (`Supa::set_shards`): one pinned, deterministic result independent of N
+//! and of the host's core count.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc as std_mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -230,11 +229,11 @@ pub struct ServeConfig {
     /// stream and/or an append-only segment file (`None` = no replication).
     pub replication: Option<PublishOptions>,
     /// Writer shards (clamped ≥ 1 by validation; 0 is rejected with a named
-    /// error). `1` is the legacy single-queue engine, bit-identical to every
-    /// prior release. `N ≥ 2` partitions ingest, guarding, admission,
-    /// caching, metrics, and ANN maintenance by the owning shard of each
-    /// event's source user — see the module docs for the ordering protocol
-    /// that keeps the result deterministic.
+    /// error). `1` is the unsharded engine, bit-identical to every prior
+    /// release. `N ≥ 2` partitions guarding, admission, caching, metrics,
+    /// and ANN maintenance by the owning shard of each event's source user;
+    /// ingest order and training stay one sequential stream — see the module
+    /// docs.
     pub shards: usize,
     /// Test seam: panic the writer thread after absorbing this many events,
     /// exercising the panic-propagation path (`EngineClosed` with a
@@ -668,11 +667,12 @@ struct Shared {
     metrics: Vec<ServeMetrics>,
     /// Writer shard count (≥ 1).
     shards: usize,
-    /// Global event sequence: producers stamp, lane-deposit, and ring the
-    /// doorbell under this lock, so doorbell order is a total order over
-    /// ingested events and `*seq` (read under the lock) counts exactly the
-    /// doorbells already rung. Uncontended (and untouched) when unsharded.
-    seq: Mutex<u64>,
+    /// Per-shard events in flight on the ingest queue: a producer counts
+    /// its event *before* sending (so the count can never dip below zero),
+    /// and whoever takes the event off the queue — the writer, or a
+    /// drop-oldest producer evicting it — uncounts it. This is the occupancy
+    /// each shard's ladder observes.
+    in_flight: Vec<AtomicUsize>,
     /// Per-relation candidate item lists (all nodes of the relation's
     /// destination type), ascending and duplicate-free. The node universe is
     /// fixed at start — the guard rejects events naming unknown nodes — so
@@ -863,24 +863,12 @@ struct WriterExit {
     events_admitted: u64,
 }
 
-/// The producer side of the ingest path: one bounded queue when unsharded,
-/// or per-shard lanes plus the doorbell channel that serializes the global
-/// event order.
-enum IngestTx {
-    Single {
-        data: channel::Sender<(TemporalEdge, f32)>,
-    },
-    Sharded {
-        lanes: Vec<channel::Sender<(TemporalEdge, f32)>>,
-        bell: channel::Sender<(u64, usize)>,
-    },
-}
-
 /// Handle to a running serving engine. `ingest`/`query` take `&self`, so a
 /// single handle can be shared by reference across producer and reader
 /// threads; `shutdown`/`kill` consume it.
 pub struct ServeHandle {
-    ingest: IngestTx,
+    /// The one bounded ingest queue: `(event, importance weight)`.
+    data_tx: channel::Sender<(TemporalEdge, f32)>,
     ctrl_tx: channel::Sender<Ctrl>,
     /// Drop-oldest eviction: a second receiver on the data queue so a
     /// producer facing a full queue can pop the oldest event itself. Only
@@ -942,13 +930,9 @@ impl ServeEngine {
                 "shards must be at least 1 (got 0); use 1 for the unsharded engine",
             ));
         }
-        // Sharded lanes split the queue capacity; each lane (and its
-        // admission ladder) must still be able to hold an event.
-        let lane_capacity = if cfg.shards > 1 {
-            cfg.queue_capacity.div_ceil(cfg.shards)
-        } else {
-            cfg.queue_capacity
-        };
+        // Each shard's admission ladder watches its share of the queue
+        // capacity, which must still be able to hold an event.
+        let lane_capacity = cfg.queue_capacity.div_ceil(cfg.shards);
         cfg.admission.validate(lane_capacity).map_err(|e| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("admission: {e}"))
         })?;
@@ -1075,20 +1059,16 @@ impl ServeEngine {
                 .map(|_| AdmissionCtl::new(cfg.admission.clone(), lane_capacity, cfg.train_batch))
                 .collect()
         });
-        let caches = if cfg.shards > 1 {
-            (0..cfg.shards)
-                .map(|_| QueryCache::new(cfg.cache_capacity.div_ceil(cfg.shards)))
-                .collect()
-        } else {
-            vec![QueryCache::new(cfg.cache_capacity)]
-        };
+        let caches = (0..cfg.shards)
+            .map(|_| QueryCache::new(cfg.cache_capacity.div_ceil(cfg.shards)))
+            .collect();
         let shared = Arc::new(Shared {
             current: RwLock::new(initial.clone()),
             history: Mutex::new(std::collections::VecDeque::from([initial])),
             caches,
             metrics: (0..cfg.shards).map(|_| ServeMetrics::default()).collect(),
             shards: cfg.shards,
-            seq: Mutex::new(0),
+            in_flight: (0..cfg.shards).map(|_| AtomicUsize::new(0)).collect(),
             candidates,
             ann_opts: cfg.ann.clone(),
             admission,
@@ -1097,65 +1077,27 @@ impl ServeEngine {
 
         let (ctrl_tx, ctrl_rx) = channel::unbounded();
         let writer_shared = shared.clone();
-        let (ingest, evict_rx, writer) = if cfg.shards > 1 {
-            let mut lane_txs = Vec::with_capacity(cfg.shards);
-            let mut lane_rxs = Vec::with_capacity(cfg.shards);
-            for _ in 0..cfg.shards {
-                let (tx, rx) = channel::bounded(lane_capacity);
-                lane_txs.push(tx);
-                lane_rxs.push(rx);
-            }
-            let (bell_tx, bell_rx) = channel::unbounded();
-            let writer = std::thread::Builder::new()
-                .name("supa-serve-writer".into())
-                .spawn(move || {
-                    sharded_writer_loop(
-                        bell_rx,
-                        lane_rxs,
-                        ctrl_rx,
-                        writer_shared,
-                        graph,
-                        model,
-                        manager,
-                        resume_skip,
-                        ann_master,
-                        publisher,
-                        cfg,
-                    )
-                })?;
-            (
-                IngestTx::Sharded {
-                    lanes: lane_txs,
-                    bell: bell_tx,
-                },
-                None,
-                writer,
-            )
-        } else {
-            let (data_tx, data_rx) = channel::bounded(cfg.queue_capacity);
-            let evict_rx =
-                (cfg.admission.policy == ShedPolicy::DropOldest).then(|| data_rx.clone());
-            let writer = std::thread::Builder::new()
-                .name("supa-serve-writer".into())
-                .spawn(move || {
-                    writer_loop(
-                        data_rx,
-                        ctrl_rx,
-                        writer_shared,
-                        graph,
-                        model,
-                        manager,
-                        resume_skip,
-                        ann_master,
-                        publisher,
-                        cfg,
-                    )
-                })?;
-            (IngestTx::Single { data: data_tx }, evict_rx, writer)
-        };
+        let (data_tx, data_rx) = channel::bounded(cfg.queue_capacity);
+        let evict_rx = (cfg.admission.policy == ShedPolicy::DropOldest).then(|| data_rx.clone());
+        let writer = std::thread::Builder::new()
+            .name("supa-serve-writer".into())
+            .spawn(move || {
+                writer_loop(
+                    data_rx,
+                    ctrl_rx,
+                    writer_shared,
+                    graph,
+                    model,
+                    manager,
+                    resume_skip,
+                    ann_master,
+                    publisher,
+                    cfg,
+                )
+            })?;
 
         Ok(ServeHandle {
-            ingest,
+            data_tx,
             ctrl_tx,
             evict_rx,
             shared,
@@ -1199,6 +1141,13 @@ struct Writer {
     chunks: u64,
 }
 
+/// How often an otherwise idle writer ticks the overload detectors, so the
+/// ladder recovers after a burst even if no further event or query arrives.
+const LADDER_TICK: Duration = Duration::from_millis(2);
+
+/// The writer thread: one loop for every shard count. It owns the graph,
+/// the model and one guard per shard, and consumes the ingest queue in
+/// order — that order is the global event order.
 #[allow(clippy::too_many_arguments)]
 fn writer_loop(
     data_rx: channel::Receiver<(TemporalEdge, f32)>,
@@ -1216,114 +1165,6 @@ fn writer_loop(
     // receivers (function parameters drop after all locals), so a panicking
     // writer publishes its cause before producers see the disconnect.
     let _panic_flag = PanicFlag(shared.clone());
-    let guards = vec![StreamGuard::new(cfg.policy)];
-    let weighted = shared
-        .admission
-        .as_ref()
-        .is_some_and(|c| c[0].policy() == ShedPolicy::SampleOneInK);
-    // With the detector on, an idle writer still ticks it every couple of
-    // milliseconds so the ladder recovers after a burst even if no further
-    // event or query arrives. Under `block` the ladder is pinned at level 0
-    // and the tick is effectively never (plain blocking receive).
-    let idle = if shared.admission.is_some() {
-        Duration::from_millis(2)
-    } else {
-        Duration::from_secs(86_400)
-    };
-    let mut w = Writer {
-        shared,
-        graph,
-        model,
-        guards,
-        manager,
-        ann,
-        publisher,
-        interval_events: Vec::new(),
-        ann_fresh: true,
-        cfg,
-        pending: Vec::new(),
-        pending_w: Vec::new(),
-        weighted,
-        admitted: 0,
-        resume_skip,
-        epoch: 0,
-        chunks: 0,
-    };
-
-    let stop = loop {
-        crossbeam::select! {
-            recv(data_rx) -> msg => match msg {
-                Ok((edge, weight)) => {
-                    w.observe_shard(0, data_rx.len());
-                    if let Some(stop) = w.handle_event(edge, weight) {
-                        break stop;
-                    }
-                }
-                Err(_) => {
-                    // Every producer hung up: final train/publish/checkpoint.
-                    w.train_pending();
-                    w.publish();
-                    w.save_checkpoint();
-                    break StopCause::Shutdown;
-                }
-            },
-            recv(ctrl_rx) -> msg => match msg {
-                Ok(Ctrl::Flush(ack)) => {
-                    // Drain first: everything enqueued before the flush is
-                    // trained under it, exactly like the single-queue engine.
-                    if let Some(stop) = w.drain(&data_rx) {
-                        break stop;
-                    }
-                    w.train_pending();
-                    w.publish();
-                    let _ = ack.send(());
-                }
-                Ok(Ctrl::Shutdown) | Err(_) => {
-                    if let Some(stop) = w.drain(&data_rx) {
-                        break stop;
-                    }
-                    w.train_pending();
-                    w.publish();
-                    w.save_checkpoint();
-                    break StopCause::Shutdown;
-                }
-                Ok(Ctrl::Kill) => {
-                    // Simulated crash. Events enqueued before the kill are
-                    // still absorbed (they preceded it in program order) but
-                    // nothing is flushed, published, or checkpointed.
-                    if let Some(stop) = w.drain(&data_rx) {
-                        break stop;
-                    }
-                    break StopCause::Killed;
-                }
-            },
-            default(idle) => w.observe_shard(0, data_rx.len()),
-        }
-    };
-
-    writer_exit(w, stop)
-}
-
-/// The sharded writer spine: consumes doorbells in global sequence order and
-/// pulls each belled event from its shard's fronted lane. A lane deposit
-/// always precedes its doorbell (both under the producers' sequence lock),
-/// so `lanes[s].recv()` after a doorbell for shard `s` returns immediately —
-/// the spine can never block on a lane while another lane has work.
-#[allow(clippy::too_many_arguments)]
-fn sharded_writer_loop(
-    bell_rx: channel::Receiver<(u64, usize)>,
-    lanes: Vec<channel::Receiver<(TemporalEdge, f32)>>,
-    ctrl_rx: channel::Receiver<Ctrl>,
-    shared: Arc<Shared>,
-    graph: Dmhg,
-    model: Supa,
-    manager: Option<CheckpointManager>,
-    resume_skip: u64,
-    ann: Option<AnnMaster>,
-    publisher: Option<DeltaPublisher>,
-    cfg: ServeConfig,
-) -> WriterExit {
-    let _panic_flag = PanicFlag(shared.clone());
     let guards = (0..cfg.shards)
         .map(|_| StreamGuard::new(cfg.policy))
         .collect();
@@ -1331,11 +1172,8 @@ fn sharded_writer_loop(
         .admission
         .as_ref()
         .is_some_and(|c| c[0].policy() == ShedPolicy::SampleOneInK);
-    let idle = if shared.admission.is_some() {
-        Duration::from_millis(2)
-    } else {
-        Duration::from_secs(86_400)
-    };
+    // Under `block` there is no ladder to tick: a plain blocking receive.
+    let ladder = shared.admission.is_some();
     let mut w = Writer {
         shared,
         graph,
@@ -1355,87 +1193,30 @@ fn sharded_writer_loop(
         epoch: 0,
         chunks: 0,
     };
-    // Doorbells consumed so far; always equal to the next expected sequence
-    // number, which `drain_sharded` compares against the producers' stamp
-    // counter to drain exactly the events enqueued before a control message.
-    let mut consumed: u64 = 0;
 
+    // Control is the first arm so that a `select!` which polls its arms in
+    // order (the offline crossbeam stand-in does) cannot let a saturated
+    // data queue starve a flush; `on_ctrl` absorbs the queued data first
+    // either way, so control still never overtakes data.
     let stop = loop {
-        crossbeam::select! {
-            recv(bell_rx) -> msg => match msg {
-                Ok((seq, s)) => {
-                    debug_assert_eq!(seq, consumed, "doorbell out of order");
-                    consumed += 1;
-                    let (edge, weight) = lanes[s]
-                        .recv()
-                        .expect("belled event is already in its lane");
-                    w.observe_shard(s, lanes[s].len());
-                    if let Some(stop) = w.handle_event(edge, weight) {
-                        break stop;
-                    }
-                }
-                Err(_) => {
-                    // Every producer hung up. All doorbells (and therefore
-                    // all lane deposits) have been drained: the bell channel
-                    // delivers its backlog before disconnecting, and every
-                    // deposit rings before the producer releases the lock.
-                    w.train_pending();
-                    w.publish();
-                    w.save_checkpoint();
-                    break StopCause::Shutdown;
-                }
-            },
-            recv(ctrl_rx) -> msg => match msg {
-                Ok(Ctrl::Flush(ack)) => {
-                    if let Some(stop) = w.drain_sharded(&bell_rx, &lanes, &mut consumed) {
-                        break stop;
-                    }
-                    w.train_pending();
-                    w.publish();
-                    let _ = ack.send(());
-                }
-                Ok(Ctrl::Shutdown) | Err(_) => {
-                    if let Some(stop) = w.drain_sharded(&bell_rx, &lanes, &mut consumed) {
-                        break stop;
-                    }
-                    w.train_pending();
-                    w.publish();
-                    w.save_checkpoint();
-                    break StopCause::Shutdown;
-                }
-                Ok(Ctrl::Kill) => {
-                    if let Some(stop) = w.drain_sharded(&bell_rx, &lanes, &mut consumed) {
-                        break stop;
-                    }
-                    break StopCause::Killed;
-                }
-            },
-            default(idle) => {
-                for (s, lane) in lanes.iter().enumerate() {
-                    w.observe_shard(s, lane.len());
-                }
+        let stop = if ladder {
+            crossbeam::select! {
+                recv(ctrl_rx) -> msg => w.on_ctrl(msg, &data_rx),
+                recv(data_rx) -> msg => w.on_event(msg),
+                default(LADDER_TICK) => w.on_tick(),
             }
+        } else {
+            crossbeam::select! {
+                recv(ctrl_rx) -> msg => w.on_ctrl(msg, &data_rx),
+                recv(data_rx) -> msg => w.on_event(msg),
+            }
+        };
+        if let Some(stop) = stop {
+            break stop;
         }
     };
 
     writer_exit(w, stop)
-}
-
-/// Field-wise sum of one shard guard's report into the engine-level one.
-/// Fault samples are concatenated in shard order (their stream positions are
-/// per-shard admission counts).
-fn merge_quarantine(into: &mut QuarantineReport, from: QuarantineReport) {
-    into.admitted += from.admitted;
-    into.clamped += from.clamped;
-    into.quarantined += from.quarantined;
-    into.non_finite_time += from.non_finite_time;
-    into.negative_time += from.negative_time;
-    into.unknown_node += from.unknown_node;
-    into.unknown_relation += from.unknown_relation;
-    into.endpoint_mismatch += from.endpoint_mismatch;
-    into.out_of_order += from.out_of_order;
-    into.duplicate += from.duplicate;
-    into.samples.extend(from.samples);
 }
 
 /// Publishes the writer's stop cause and merges the per-shard quarantine
@@ -1451,7 +1232,7 @@ fn writer_exit(w: Writer, stop: StopCause) -> WriterExit {
 
     let mut quarantine = QuarantineReport::default();
     for g in w.guards {
-        merge_quarantine(&mut quarantine, g.into_report());
+        quarantine.merge(g.into_report());
     }
     WriterExit {
         quarantine,
@@ -1461,20 +1242,87 @@ fn writer_exit(w: Writer, stop: StopCause) -> WriterExit {
 }
 
 impl Writer {
-    /// Feeds shard `s`'s overload detector one (occupancy, staleness)
-    /// observation. Occupancy is per-lane; staleness is the engine-wide lag
-    /// (training drains all lanes in one global order, so lag is a shared
-    /// fact).
-    fn observe_shard(&self, s: usize, occupancy: usize) {
-        if let Some(ctls) = &self.shared.admission {
-            ctls[s].observe(occupancy, self.shared.staleness(), &self.shared.metrics[s]);
+    /// One message from the ingest queue. A disconnect means every producer
+    /// hung up: final train/publish/checkpoint.
+    fn on_event(
+        &mut self,
+        msg: Result<(TemporalEdge, f32), channel::RecvError>,
+    ) -> Option<StopCause> {
+        match msg {
+            Ok((edge, weight)) => {
+                let s = self.dequeued(&edge);
+                self.observe_shard(s);
+                self.handle_event(s, edge, weight)
+            }
+            Err(_) => Some(self.finish()),
         }
     }
 
-    /// Guards and absorbs one dequeued event; `Some` stops the loop
-    /// (strict-policy fault).
-    fn handle_event(&mut self, edge: TemporalEdge, weight: f32) -> Option<StopCause> {
+    /// One control message, honored only after the events queued ahead of
+    /// it have been absorbed.
+    fn on_ctrl(
+        &mut self,
+        msg: Result<Ctrl, channel::RecvError>,
+        data_rx: &channel::Receiver<(TemporalEdge, f32)>,
+    ) -> Option<StopCause> {
+        if let Some(stop) = self.drain(data_rx) {
+            return Some(stop);
+        }
+        match msg {
+            Ok(Ctrl::Flush(ack)) => {
+                self.train_pending();
+                self.publish();
+                let _ = ack.send(());
+                None
+            }
+            Ok(Ctrl::Shutdown) | Err(_) => Some(self.finish()),
+            // Simulated crash. Events enqueued before the kill were still
+            // absorbed (they preceded it in program order) but nothing is
+            // flushed, published, or checkpointed.
+            Ok(Ctrl::Kill) => Some(StopCause::Killed),
+        }
+    }
+
+    /// Idle tick: every shard's detector sees the current occupancy.
+    fn on_tick(&self) -> Option<StopCause> {
+        for s in 0..self.guards.len() {
+            self.observe_shard(s);
+        }
+        None
+    }
+
+    /// Clean stop: train the partial chunk, publish, checkpoint.
+    fn finish(&mut self) -> StopCause {
+        self.train_pending();
+        self.publish();
+        self.save_checkpoint();
+        StopCause::Shutdown
+    }
+
+    /// Uncounts an event just taken off the queue; returns its owning shard.
+    fn dequeued(&self, edge: &TemporalEdge) -> usize {
         let s = supa_par::shard_of(edge.src.0, self.guards.len());
+        self.shared.in_flight[s].fetch_sub(1, Ordering::Relaxed);
+        s
+    }
+
+    /// Feeds shard `s`'s overload detector one (occupancy, staleness)
+    /// observation. Occupancy is the shard's in-flight count; staleness is
+    /// the engine-wide lag (training consumes one global order, so lag is a
+    /// shared fact).
+    fn observe_shard(&self, s: usize) {
+        if let Some(ctls) = &self.shared.admission {
+            ctls[s].observe(
+                self.shared.in_flight[s].load(Ordering::Relaxed),
+                self.shared.staleness(),
+                &self.shared.metrics[s],
+            );
+        }
+    }
+
+    /// Guards and absorbs one dequeued event of shard `s`; `Some` stops the
+    /// loop (strict-policy fault).
+    fn handle_event(&mut self, s: usize, edge: TemporalEdge, weight: f32) -> Option<StopCause> {
         match self.guards[s].admit(&self.graph, edge) {
             Ok(Some(e)) => {
                 self.absorb(e, weight);
@@ -1492,43 +1340,19 @@ impl Writer {
         }
     }
 
-    /// Processes every event already in the queue (used before honoring a
-    /// control message, so control never overtakes data).
+    /// Absorbs exactly the events that are queued right now — the ones
+    /// enqueued before the control message being honored. Later arrivals
+    /// wait for the main loop, so a producer that keeps the queue non-empty
+    /// cannot hold a flush open. (A drop-oldest producer may evict some of
+    /// them first; the queue then runs dry early.)
     fn drain(&mut self, data_rx: &channel::Receiver<(TemporalEdge, f32)>) -> Option<StopCause> {
-        while let Ok((edge, weight)) = data_rx.try_recv() {
-            if let Some(stop) = self.handle_event(edge, weight) {
+        for _ in 0..data_rx.len() {
+            let Ok((edge, weight)) = data_rx.try_recv() else {
+                break;
+            };
+            let s = self.dequeued(&edge);
+            if let Some(stop) = self.handle_event(s, edge, weight) {
                 return Some(stop);
-            }
-        }
-        None
-    }
-
-    /// Sharded drain: processes every event stamped before this call, in
-    /// doorbell order. The target is read under the sequence lock (so no
-    /// producer is mid-deposit at the instant it's taken), and every stamp
-    /// below the target already has its doorbell in the channel — the
-    /// blocking `recv` calls below can only wait for messages in flight,
-    /// never for future producers.
-    fn drain_sharded(
-        &mut self,
-        bell_rx: &channel::Receiver<(u64, usize)>,
-        lanes: &[channel::Receiver<(TemporalEdge, f32)>],
-        consumed: &mut u64,
-    ) -> Option<StopCause> {
-        let target = *self.shared.seq.lock();
-        while *consumed < target {
-            match bell_rx.recv() {
-                Ok((seq, s)) => {
-                    debug_assert_eq!(seq, *consumed, "doorbell out of order");
-                    *consumed += 1;
-                    let (edge, weight) = lanes[s]
-                        .recv()
-                        .expect("belled event is already in its lane");
-                    if let Some(stop) = self.handle_event(edge, weight) {
-                        return Some(stop);
-                    }
-                }
-                Err(_) => break,
             }
         }
         None
@@ -1613,7 +1437,7 @@ impl Writer {
     /// Under 1-in-k sampling the chunk carries per-event weights (k for
     /// resampled survivors, 1 otherwise) so the surviving events' updates
     /// preserve the stream's expected gradient mass; every other policy
-    /// passes no weights and takes the exact legacy path.
+    /// passes no weights (weight 1.0 for every event).
     fn train_pending(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -1634,20 +1458,13 @@ impl Writer {
             )
             // No checkpoint manager is passed, so no I/O can fail.
             .expect("training without checkpointing performs no I/O");
-        if self.shared.shards > 1 {
-            // Attribute each applied event to its owning shard so per-shard
-            // staleness stays meaningful.
-            for e in &self.pending {
-                self.shared
-                    .metrics_of(e.src.0)
-                    .events_applied
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-        } else {
-            self.shared.metrics[0].events_applied.fetch_add(
-                self.pending.len() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
+        // Attribute each applied event to its owning shard so per-shard
+        // staleness stays meaningful.
+        for e in &self.pending {
+            self.shared
+                .metrics_of(e.src.0)
+                .events_applied
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
         self.pending.clear();
         self.pending_w.clear();
@@ -1966,205 +1783,115 @@ impl Shared {
 }
 
 impl ServeHandle {
-    /// Enqueues one raw event through the admission layer.
+    /// Enqueues one raw event through the admission layer of its owning
+    /// shard.
     ///
     /// Under the default `block` policy this blocks while the queue is full
     /// (backpressure) — bit-identical to the pre-admission engine. The
-    /// shedding policies consult the degradation ladder instead and may
-    /// drop the event (or an older queued one); every shed is tallied in
+    /// shedding policies consult the shard's degradation ladder instead and
+    /// may drop the event (or an older queued one); every shed is tallied in
     /// [`ServeMetrics`]. Errors once the writer has stopped, with the
     /// stop's [`ClosedCause`].
     pub fn ingest(&self, edge: TemporalEdge) -> Result<(), EngineClosed> {
-        match &self.ingest {
-            IngestTx::Single { data } => self.ingest_single(data, edge),
-            IngestTx::Sharded { lanes, bell } => self.ingest_sharded(lanes, bell, edge),
-        }
-    }
-
-    /// The unsharded ingest path — unchanged from the single-queue engine.
-    fn ingest_single(
-        &self,
-        data_tx: &channel::Sender<(TemporalEdge, f32)>,
-        edge: TemporalEdge,
-    ) -> Result<(), EngineClosed> {
         use std::sync::atomic::Ordering::Relaxed;
+        let s = supa_par::shard_of(edge.src.0, self.shared.shards);
         let Some(ctls) = &self.shared.admission else {
             // Block policy: plain backpressure send, no detector on the path.
-            return data_tx.send((edge, 1.0)).map_err(|_| self.closed_error());
+            return self.send_data(s, edge, 1.0);
         };
-        let ctl = &ctls[0];
-        let m = &self.shared.metrics[0];
-        let level = ctl.observe(data_tx.len(), m.staleness(), m);
+        let ctl = &ctls[s];
+        let m = &self.shared.metrics[s];
+        let queued = &self.shared.in_flight[s];
+        let level = ctl.observe(queued.load(Relaxed), self.shared.staleness(), m);
         let prio = ctl.classify(edge.relation);
         match ctl.policy() {
             // Unreachable in practice (`admission` is `None` under block),
             // but backpressure is the only sensible meaning regardless.
-            ShedPolicy::Block => self.send_data(data_tx, edge, 1.0),
+            ShedPolicy::Block => self.send_data(s, edge, 1.0),
             ShedPolicy::SampleOneInK => {
                 if !AdmissionCtl::shed_eligible(level, prio) {
-                    self.send_data(data_tx, edge, 1.0)
+                    self.send_data(s, edge, 1.0)
                 } else if ctl.sample_admit(prio) {
                     // The survivor speaks for its whole 1-in-k window:
                     // weight k keeps the expected update mass unbiased.
                     m.events_resampled.fetch_add(1, Relaxed);
-                    self.send_data(data_tx, edge, ctl.sample_k() as f32)
+                    self.send_data(s, edge, ctl.sample_k() as f32)
                 } else {
-                    m.count_shed(prio, data_tx.len());
-                    Ok(())
-                }
-            }
-            ShedPolicy::DropOldest => match data_tx.try_send((edge, 1.0)) {
-                Ok(()) => Ok(()),
-                Err(channel::TrySendError::Disconnected(_)) => Err(self.closed_error()),
-                Err(channel::TrySendError::Full((edge, w))) => {
-                    if level == DegradeLevel::ShedAll {
-                        // Uniform shedding: evict the oldest queued event to
-                        // make room for the newest.
-                        let evict = self
-                            .evict_rx
-                            .as_ref()
-                            .expect("drop-oldest keeps an eviction receiver");
-                        if let Ok((old, _)) = evict.try_recv() {
-                            m.count_shed(ctl.classify(old.relation), data_tx.len());
-                        }
-                        self.send_data(data_tx, edge, w)
-                    } else if level == DegradeLevel::ShedLow && prio == EventPriority::Low {
-                        // Priority shedding: the incoming low-value event is
-                        // the one that loses.
-                        m.count_shed(prio, data_tx.len());
-                        Ok(())
-                    } else {
-                        self.send_data(data_tx, edge, w)
-                    }
-                }
-            },
-        }
-    }
-
-    /// The sharded ingest path: route to the owning shard's lane and ring
-    /// the doorbell under the global sequence lock.
-    ///
-    /// Admission differs from the unsharded engine in one documented way:
-    /// under drop-oldest, a full lane at a shed-eligible ladder level sheds
-    /// the *incoming* event instead of evicting the oldest queued one —
-    /// popping a lane from the producer side would tear the lane/doorbell
-    /// correspondence that makes the global order deterministic.
-    fn ingest_sharded(
-        &self,
-        lanes: &[channel::Sender<(TemporalEdge, f32)>],
-        bell: &channel::Sender<(u64, usize)>,
-        edge: TemporalEdge,
-    ) -> Result<(), EngineClosed> {
-        use std::sync::atomic::Ordering::Relaxed;
-        let s = supa_par::shard_of(edge.src.0, lanes.len());
-        let Some(ctls) = &self.shared.admission else {
-            return self.stamp_send(&lanes[s], bell, s, edge, 1.0);
-        };
-        let ctl = &ctls[s];
-        let m = &self.shared.metrics[s];
-        let level = ctl.observe(lanes[s].len(), self.shared.staleness(), m);
-        let prio = ctl.classify(edge.relation);
-        match ctl.policy() {
-            ShedPolicy::Block => self.stamp_send(&lanes[s], bell, s, edge, 1.0),
-            ShedPolicy::SampleOneInK => {
-                if !AdmissionCtl::shed_eligible(level, prio) {
-                    self.stamp_send(&lanes[s], bell, s, edge, 1.0)
-                } else if ctl.sample_admit(prio) {
-                    m.events_resampled.fetch_add(1, Relaxed);
-                    self.stamp_send(&lanes[s], bell, s, edge, ctl.sample_k() as f32)
-                } else {
-                    m.count_shed(prio, lanes[s].len());
+                    m.count_shed(prio, queued.load(Relaxed));
                     Ok(())
                 }
             }
             ShedPolicy::DropOldest => {
-                if AdmissionCtl::shed_eligible(level, prio) {
-                    if !self.stamp_try_send(&lanes[s], bell, s, edge, 1.0)? {
-                        m.count_shed(prio, lanes[s].len());
+                match self.counted(s, || self.data_tx.try_send((edge, 1.0))) {
+                    Ok(()) => Ok(()),
+                    Err(channel::TrySendError::Disconnected(_)) => Err(self.closed_error()),
+                    Err(channel::TrySendError::Full((edge, w))) => {
+                        if level == DegradeLevel::ShedAll {
+                            // Uniform shedding: evict the oldest queued event
+                            // (whichever shard owns it) to make room for the
+                            // newest.
+                            let evict = self
+                                .evict_rx
+                                .as_ref()
+                                .expect("drop-oldest keeps an eviction receiver");
+                            if let Ok((old, _)) = evict.try_recv() {
+                                let victim = supa_par::shard_of(old.src.0, self.shared.shards);
+                                let left = self.shared.in_flight[victim].fetch_sub(1, Relaxed) - 1;
+                                self.shared.metrics[victim]
+                                    .count_shed(ctl.classify(old.relation), left);
+                            }
+                            self.send_data(s, edge, w)
+                        } else if level == DegradeLevel::ShedLow && prio == EventPriority::Low {
+                            // Priority shedding: the incoming low-value event
+                            // is the one that loses.
+                            m.count_shed(prio, queued.load(Relaxed));
+                            Ok(())
+                        } else {
+                            self.send_data(s, edge, w)
+                        }
                     }
-                    Ok(())
-                } else {
-                    self.stamp_send(&lanes[s], bell, s, edge, 1.0)
                 }
             }
         }
     }
 
-    /// Stamps, deposits, and rings under the sequence lock (blocking when
-    /// the lane is full — per-shard backpressure that, by holding the lock,
-    /// also pauses other producers: global order admits no overtaking). The
-    /// deposit-before-ring order inside the critical section is what
-    /// guarantees the spine's `recv` after a doorbell never blocks.
-    fn stamp_send(
-        &self,
-        lane: &channel::Sender<(TemporalEdge, f32)>,
-        bell: &channel::Sender<(u64, usize)>,
-        s: usize,
-        edge: TemporalEdge,
-        weight: f32,
-    ) -> Result<(), EngineClosed> {
-        let mut seq = self.shared.seq.lock();
-        if lane.send((edge, weight)).is_err() {
-            return Err(self.closed_error());
-        }
-        let n = *seq;
-        // A dead writer makes this ring undeliverable, but then the lane
-        // send above (or the next one) fails first; the stranded event is
-        // moot either way.
-        let _ = bell.send((n, s));
-        *seq = n + 1;
-        Ok(())
-    }
-
-    /// Non-blocking variant: `Ok(false)` means the lane was full and the
-    /// event was *not* enqueued (the caller sheds it).
-    fn stamp_try_send(
-        &self,
-        lane: &channel::Sender<(TemporalEdge, f32)>,
-        bell: &channel::Sender<(u64, usize)>,
-        s: usize,
-        edge: TemporalEdge,
-        weight: f32,
-    ) -> Result<bool, EngineClosed> {
-        let mut seq = self.shared.seq.lock();
-        match lane.try_send((edge, weight)) {
-            Ok(()) => {
-                let n = *seq;
-                let _ = bell.send((n, s));
-                *seq = n + 1;
-                Ok(true)
-            }
-            Err(channel::TrySendError::Full(_)) => Ok(false),
-            Err(channel::TrySendError::Disconnected(_)) => Err(self.closed_error()),
-        }
+    /// Runs `send` with one more event counted in flight on shard `s`; a
+    /// failed send uncounts it. Counting first means the writer's decrement
+    /// can never race ahead of the increment.
+    fn counted<E>(&self, s: usize, send: impl FnOnce() -> Result<(), E>) -> Result<(), E> {
+        let queued = &self.shared.in_flight[s];
+        queued.fetch_add(1, Ordering::Relaxed);
+        send().inspect_err(|_| {
+            queued.fetch_sub(1, Ordering::Relaxed);
+        })
     }
 
     /// Blocking send that stays correct when this handle holds an eviction
     /// receiver: the queue can then never disconnect while the handle
     /// lives, so a dead writer is detected via [`Shared::closed`] instead
     /// (polled between short send timeouts).
-    fn send_data(
-        &self,
-        data_tx: &channel::Sender<(TemporalEdge, f32)>,
-        edge: TemporalEdge,
-        weight: f32,
-    ) -> Result<(), EngineClosed> {
-        if self.evict_rx.is_none() {
-            return data_tx
-                .send((edge, weight))
-                .map_err(|_| self.closed_error());
-        }
-        let mut item = (edge, weight);
-        loop {
-            if self.shared.closed.load(Ordering::SeqCst) != OPEN {
-                return Err(self.closed_error());
+    fn send_data(&self, s: usize, edge: TemporalEdge, weight: f32) -> Result<(), EngineClosed> {
+        self.counted(s, || {
+            if self.evict_rx.is_none() {
+                return self
+                    .data_tx
+                    .send((edge, weight))
+                    .map_err(|_| self.closed_error());
             }
-            match data_tx.send_timeout(item, Duration::from_millis(20)) {
-                Ok(()) => return Ok(()),
-                Err(channel::SendTimeoutError::Timeout(it)) => item = it,
-                Err(channel::SendTimeoutError::Disconnected(_)) => return Err(self.closed_error()),
+            let mut item = (edge, weight);
+            loop {
+                if self.shared.closed.load(Ordering::SeqCst) != OPEN {
+                    return Err(self.closed_error());
+                }
+                match self.data_tx.send_timeout(item, Duration::from_millis(20)) {
+                    Ok(()) => return Ok(()),
+                    Err(channel::SendTimeoutError::Timeout(it)) => item = it,
+                    Err(channel::SendTimeoutError::Disconnected(_)) => {
+                        return Err(self.closed_error())
+                    }
+                }
             }
-        }
+        })
     }
 
     fn closed_error(&self) -> EngineClosed {
@@ -2322,24 +2049,21 @@ impl ServeHandle {
         self.shared.merged_metrics().report(self.started.elapsed())
     }
 
-    /// The merged metrics as one JSON line; a sharded engine additionally
-    /// carries a `"shards":[...]` array with each shard's own report, so
-    /// `--metrics-dump` streams expose the per-shard breakdown. Unsharded
-    /// output is exactly [`MetricsReport::to_json`].
+    /// The merged metrics as one JSON line, followed by a `"shards":[...]`
+    /// array with each shard's own report (one element when unsharded), so
+    /// `--metrics-dump` streams expose the per-shard breakdown.
     pub fn metrics_json(&self) -> String {
         let elapsed = self.started.elapsed();
         let mut s = self.shared.merged_metrics().report(elapsed).to_json();
-        if self.shared.shards > 1 {
-            s.pop();
-            s.push_str(",\"shards\":[");
-            for (i, m) in self.shared.metrics.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&m.report(elapsed).to_json());
+        s.pop();
+        s.push_str(",\"shards\":[");
+        for (i, m) in self.shared.metrics.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
             }
-            s.push_str("]}");
+            s.push_str(&m.report(elapsed).to_json());
         }
+        s.push_str("]}");
         s
     }
 
@@ -2418,6 +2142,63 @@ impl Drop for ServeHandle {
         if let Some(writer) = self.writer.take() {
             let _ = self.ctrl_tx.send(Ctrl::Shutdown);
             let _ = writer.join();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use supa::SupaConfig;
+    use supa_datasets::taobao;
+
+    /// Every path that takes an event off the queue — dequeue into training,
+    /// quarantine, drop-oldest eviction, the drain before shutdown or kill —
+    /// uncounts it, so no shard's in-flight counter leaks.
+    #[test]
+    fn in_flight_counters_return_to_zero_after_shutdown_and_kill() {
+        let d = taobao(0.01, 5);
+        // Every event twice: the repeat is quarantined as a duplicate.
+        let events: Vec<TemporalEdge> = d.edges.iter().flat_map(|&e| [e, e]).collect();
+        for (kill, policy) in [(false, ShedPolicy::DropOldest), (true, ShedPolicy::Block)] {
+            let handle = ServeEngine::start(
+                d.prototype.clone(),
+                Supa::from_dataset(&d, SupaConfig::small(), 5).unwrap(),
+                ServeConfig {
+                    train_batch: 32,
+                    queue_capacity: 8,
+                    shards: 4,
+                    admission: AdmissionOptions {
+                        policy,
+                        escalate_window: 1,
+                        lag_chunks: 1,
+                        ..AdmissionOptions::default()
+                    },
+                    ..ServeConfig::default()
+                },
+            )
+            .unwrap();
+            for &e in &events {
+                handle.ingest(e).unwrap();
+            }
+            let shared = handle.shared.clone();
+            let report = if kill {
+                handle.kill()
+            } else {
+                handle.shutdown()
+            };
+            assert!(report.metrics.events_quarantined > 0, "{policy}");
+            assert_eq!(
+                report.metrics.events_shed() > 0,
+                policy == ShedPolicy::DropOldest,
+                "{policy}: only drop-oldest sheds, and this burst must"
+            );
+            let left: Vec<usize> = shared
+                .in_flight
+                .iter()
+                .map(|n| n.load(Ordering::SeqCst))
+                .collect();
+            assert_eq!(left, [0; 4], "{policy}");
         }
     }
 }

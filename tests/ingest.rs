@@ -56,7 +56,7 @@ fn write_dump(d: &Dataset, tag: &str) -> std::path::PathBuf {
 }
 
 /// The headline contract: streaming a well-formed dump straight into the
-/// ingest lanes produces the exact engine digest of materialising it with
+/// ingest queue produces the exact engine digest of materialising it with
 /// `load_tsv` and replaying the edge vector.
 #[test]
 fn streamed_replay_is_bit_identical_to_materialised() {

@@ -362,6 +362,82 @@ fn sample_one_in_k_burst_sheds_reweights_and_recovers() {
     );
 }
 
+/// Drop-oldest at `ShedAll` with a full queue admits the incoming event and
+/// sheds an already-queued one — for every shard count, because every shard
+/// count shares the one ingest queue. A queue of 8 against 64-event chunks
+/// keeps the writer behind by construction: while it trains a chunk the
+/// producer offers the rest of the stream, and a one-observation ladder is
+/// at `ShedAll` (staleness ≥ one chunk) long before the stream ends. The
+/// last offered event is the only one naming its user, so that user's base
+/// vector moves iff the event was admitted and trained.
+#[test]
+fn drop_oldest_evicts_a_queued_event_for_every_shard_count() {
+    let d = taobao(0.02, 43);
+    let last = *d.edges.last().unwrap();
+    let filler: Vec<TemporalEdge> = d.edges[..d.edges.len() - 1]
+        .iter()
+        .copied()
+        .filter(|e| e.src != last.src)
+        .collect();
+    let priorities = PriorityMap::parse("PageView=low,Buy=high", d.prototype.schema()).unwrap();
+    for shards in [1usize, 4] {
+        let handle = ServeEngine::start(
+            d.prototype.clone(),
+            // No validation hold-out: every admitted event trains.
+            fast_model(&d, 43).with_inslearn(InsLearnConfig {
+                valid_size: 0,
+                ..InsLearnConfig::fast()
+            }),
+            ServeConfig {
+                train_batch: 64,
+                queue_capacity: 8,
+                cache_capacity: 0,
+                shards,
+                admission: AdmissionOptions {
+                    policy: ShedPolicy::DropOldest,
+                    priorities: Some(priorities.clone()),
+                    escalate_window: 1,
+                    recovery_window: u32::MAX,
+                    lag_chunks: 1,
+                    ..AdmissionOptions::default()
+                },
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let base = |h: &supa_serve::ServeHandle| {
+            let mut row = Vec::new();
+            h.snapshot().scorer.base_into(last.src, &mut row);
+            row
+        };
+        let before = base(&handle);
+        for &e in &filler {
+            handle.ingest(e).unwrap();
+        }
+        assert_eq!(handle.degradation_level(), 3, "shards={shards}: ShedAll");
+        handle.ingest(last).unwrap();
+        handle.flush().unwrap();
+        assert_ne!(
+            before,
+            base(&handle),
+            "shards={shards}: the last offered event must be admitted and trained"
+        );
+        let m = handle.shutdown().metrics;
+        assert!(m.events_shed() > 0, "shards={shards}: the burst must shed");
+        assert_eq!(
+            m.events_shed(),
+            m.events_shed_low + m.events_shed_normal + m.events_shed_high,
+            "shards={shards}"
+        );
+        assert_eq!(
+            m.events_ingested + m.events_quarantined + m.events_shed(),
+            filler.len() as u64 + 1,
+            "shards={shards}: every offered event is trained, quarantined, or shed"
+        );
+        assert_eq!(m.events_applied, m.events_ingested, "shards={shards}");
+    }
+}
+
 /// Nonsensical admission configuration is rejected at startup with a
 /// named error, never silently clamped.
 #[test]

@@ -1,9 +1,9 @@
 //! Determinism guarantees for the parallel execution layer (supa-par):
 //!
-//! - batched training with `workers = 1` is the *exact* serial path —
-//!   bit-identical learnable state and loss;
-//! - batched training gives identical results for any worker count ≥ 2
-//!   (waves and per-wave gradients do not depend on the thread count);
+//! - a training pass with `workers = 1` is the *exact* serial path —
+//!   bit-identical learnable state and loss to per-event `train_edge`;
+//! - every `workers ≥ 2` / `shards ≥ 2` setting gives one identical result
+//!   (waves and per-wave gradients do not depend on how a wave is split);
 //! - parallel ranking evaluation is bit-identical to the sequential
 //!   evaluator for every thread count.
 //!
@@ -31,39 +31,61 @@ fn state_bits(m: &Supa) -> Vec<u64> {
 }
 
 #[test]
-fn batched_training_with_one_worker_is_bit_identical_to_serial() {
+fn one_worker_pass_is_bit_identical_to_per_event_training() {
     let cfg = quick();
     let d = make_dataset("Taobao", &cfg);
     let g = d.full_graph();
 
     let mut serial = make_supa(&d, &cfg);
     serial.resolve_time_scale(&g);
-    let loss_serial = serial.train_pass(&g, &d.edges);
+    let mut total = 0.0;
+    for e in &d.edges {
+        total += serial.train_edge(&g, e).total();
+    }
+    let loss_serial = total / d.edges.len() as f64;
 
-    let mut batched = make_supa(&d, &cfg);
-    batched.resolve_time_scale(&g);
-    let loss_batched = batched.train_pass_batched(&g, &d.edges, 1);
+    let mut pass = make_supa(&d, &cfg).with_workers(1);
+    pass.resolve_time_scale(&g);
+    let loss_pass = pass.train_pass(&g, &d.edges);
 
-    assert_eq!(loss_serial.to_bits(), loss_batched.to_bits());
-    assert_eq!(state_bits(&serial), state_bits(&batched));
+    assert_eq!(loss_serial.to_bits(), loss_pass.to_bits());
+    assert_eq!(state_bits(&serial), state_bits(&pass));
 }
 
+/// Every `workers ≥ 2` and every `shards ≥ 2` setting is the one
+/// wave-frozen regime: same loss, same state, to the bit. In both regimes
+/// an all-ones weight vector is the unweighted pass.
 #[test]
-fn batched_training_is_identical_across_worker_counts() {
+fn wave_frozen_training_is_identical_across_worker_and_shard_counts() {
     let cfg = quick();
     let d = make_dataset("Taobao", &cfg);
     let g = d.full_graph();
+    let ones = vec![1.0f32; d.edges.len()];
 
-    let run = |workers: usize| {
-        let mut m = make_supa(&d, &cfg).with_workers(workers);
+    let run = |workers: usize, shards: usize, weights: Option<&[f32]>| {
+        let mut m = make_supa(&d, &cfg)
+            .with_workers(workers)
+            .with_shards(shards);
         m.resolve_time_scale(&g);
-        let loss = m.train_pass(&g, &d.edges);
+        let loss = m.train_pass_weighted(&g, &d.edges, weights);
         (loss.to_bits(), state_bits(&m))
     };
-    let two = run(2);
-    let four = run(4);
-    assert_eq!(two.0, four.0, "loss differs between 2 and 4 workers");
-    assert_eq!(two.1, four.1, "state differs between 2 and 4 workers");
+    let frozen = run(2, 1, None);
+    for (workers, shards) in [(4, 1), (1, 2), (1, 4), (2, 4)] {
+        assert_eq!(
+            run(workers, shards, None),
+            frozen,
+            "workers={workers} shards={shards} left the wave-frozen regime"
+        );
+    }
+    assert_eq!(run(2, 1, Some(&ones)), frozen, "unit weights, wave-frozen");
+
+    let serial = run(1, 1, None);
+    assert_eq!(run(1, 1, Some(&ones)), serial, "unit weights, serial");
+    assert_ne!(
+        serial.1, frozen.1,
+        "per-wave α freezing should be observable on this stream"
+    );
 }
 
 #[test]

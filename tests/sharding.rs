@@ -1,9 +1,10 @@
 //! Integration tests for the N-way user-sharded serving engine: shards = 1
-//! is bit-identical to the legacy single-writer engine and every shard
+//! is bit-identical to the flag-omitted default engine and every shard
 //! count ≥ 2 pins one deterministic result, sharded serving is
-//! bit-identical to the offline sharded-model chunk loop, concurrent reads
-//! stay epoch-consistent across shards, and a shard that dies during epoch
-//! publication surfaces an error naming the shard.
+//! bit-identical to the offline `with_shards` chunk loop, concurrent reads
+//! stay epoch-consistent across shards, a flush stays bounded while another
+//! thread keeps producing, and a shard that dies during epoch publication
+//! surfaces an error naming the shard.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,13 +55,14 @@ fn query_pairs(d: &Dataset, n: usize) -> Vec<(supa_graph::NodeId, RelationId)> {
 /// The pinned determinism claims, mirroring the `--workers` contract:
 /// `shards = 1` is bit-identical to the unsharded default engine; every
 /// shard count ≥ 2 yields one pinned result (2 == 4, repeat-run stable) —
-/// the shard grouping of a wave drops out of the gradients. The N ≥ 2
+/// how a wave's gradient work is split drops out of the result. The N ≥ 2
 /// result may differ from serial only in per-wave (vs per-event) `α`
 /// freezing, but admission and training tallies agree everywhere.
 #[test]
 fn probe_digest_is_pinned_per_shard_regime() {
     let d = taobao(0.02, 23);
-    // `None` = the untouched default config (the pre-sharding engine).
+    // `None` = the untouched default config: the cheap guard that an
+    // explicit `shards = 1` can never drift from it.
     let mut runs = Vec::new();
     for shards in [None, Some(1usize), Some(2), Some(4), Some(4)] {
         let mut cfg = ServeConfig {
@@ -109,11 +111,11 @@ fn probe_digest_is_pinned_per_shard_regime() {
     }
 }
 
-/// Sharded serving (N = 2) must stay bit-identical to the offline sharded
-/// model path: the same guard filtering, the same chunked
-/// `fit_incremental` calls (dispatching to the user-partitioned sharded
-/// pass via `with_shards`) over the same graph state, then `top_k_scored`
-/// against the final state — the doorbell order is the stream order.
+/// Sharded serving (N = 2) must stay bit-identical to the offline model
+/// path: the same guard filtering, the same chunked `fit_incremental`
+/// calls (in the wave-frozen regime via `with_shards`) over the same graph
+/// state, then `top_k_scored` against the final state — the queue order is
+/// the stream order.
 #[test]
 fn sharded_serving_matches_offline_fit_incremental() {
     const CHUNK: usize = 64;
@@ -139,7 +141,7 @@ fn sharded_serving_matches_offline_fit_incremental() {
     }
     handle.flush().unwrap();
 
-    // Offline: identical chunk loop on this thread, same shard dispatch.
+    // Offline: identical chunk loop on this thread, same training regime.
     use supa_eval::Recommender;
     let mut model = fast_model(&d, 17).with_shards(2);
     let mut g = d.prototype.clone();
@@ -241,6 +243,89 @@ fn concurrent_sharded_queries_are_epoch_consistent() {
         "training should have published epochs concurrently with the queries"
     );
     assert!(matches!(report.stop, StopCause::Shutdown));
+}
+
+/// `flush()` absorbs exactly the events queued when the writer takes the
+/// control message, so a second thread that never stops producing cannot
+/// hold it open, and everything the flushing thread enqueued beforehand is
+/// in the epoch the flush publishes. The flusher's one event is the only
+/// one naming its user, so that user's base vector moves iff the event was
+/// trained. The producer offers valid events (each pass over the stream is
+/// shifted past the previous one) until the flush returns; the cap only
+/// turns a regression into a failure instead of a hang.
+#[test]
+fn flush_is_bounded_under_a_concurrent_producer() {
+    const CAP: usize = 200_000;
+    let d = taobao(0.02, 37);
+    let mine = *d.edges.last().unwrap();
+    let filler: Vec<TemporalEdge> = d
+        .edges
+        .iter()
+        .copied()
+        .filter(|e| e.src != mine.src)
+        .collect();
+    let span = mine.time + 1.0;
+    for shards in [1usize, 4] {
+        let handle = ServeEngine::start(
+            d.prototype.clone(),
+            // No validation hold-out: every admitted event trains.
+            fast_model(&d, 37).with_inslearn(InsLearnConfig {
+                valid_size: 0,
+                ..InsLearnConfig::fast()
+            }),
+            ServeConfig {
+                train_batch: 64,
+                queue_capacity: 64,
+                cache_capacity: 0,
+                // Clamp: the flusher's event keeps its place in the stream
+                // whatever the producer has already pushed past it.
+                policy: QuarantinePolicy::Clamp,
+                shards,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let base = |epoch: &supa_serve::EpochSnapshot| {
+            let mut row = Vec::new();
+            epoch.scorer.base_into(mine.src, &mut row);
+            row
+        };
+        let before = base(&handle.snapshot());
+        let flushed = std::sync::atomic::AtomicBool::new(false);
+        let producing = std::sync::Barrier::new(2);
+        let offered = std::thread::scope(|scope| {
+            let producer = scope.spawn(|| {
+                let mut offered = 0usize;
+                while offered < CAP && !flushed.load(Ordering::SeqCst) {
+                    let mut e = filler[offered % filler.len()];
+                    e.time += span * (offered / filler.len()) as f64;
+                    handle.ingest(e).unwrap();
+                    offered += 1;
+                    if offered == 2 * 64 {
+                        producing.wait();
+                    }
+                }
+                offered
+            });
+            // The producer has filled the queue at least once by now.
+            producing.wait();
+            handle.ingest(mine).unwrap();
+            handle.flush().unwrap();
+            let published = handle.snapshot();
+            flushed.store(true, Ordering::SeqCst);
+            assert_ne!(
+                before,
+                base(&published),
+                "shards={shards}: the flush epoch must reflect the flusher's event"
+            );
+            producer.join().unwrap()
+        });
+        assert!(
+            offered < CAP,
+            "shards={shards}: flush only returned once the producer gave up"
+        );
+        assert!(matches!(handle.shutdown().stop, StopCause::Shutdown));
+    }
 }
 
 /// Kill one shard mid-publication (the `panic_shard` seam): producers must
