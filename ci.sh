@@ -237,7 +237,8 @@ cargo run --release -p supa-bench --bin microbench -- \
   --baseline MICROBENCH_baseline.json
 
 # Bounded throughput smoke: train/eval/serve rates at workers 1 and 4 on a
-# tiny quick-mode dataset; writes BENCH_throughput.json at the repo root.
+# tiny quick-mode dataset. A --quick run writes BENCH_throughput.json under
+# target/experiments/, never over the checked-in full-run file at the root.
 SUPA_SCALE=0.01 cargo run --release -p supa-bench --bin expt -- --quick throughput
 
 # The tuned kernels must also build when the compiler is allowed to use the

@@ -29,6 +29,22 @@ fn datasets_for(cfg: &HarnessConfig, full: &[&str], quick: &[&str]) -> Vec<Strin
     names.iter().map(|s| s.to_string()).collect()
 }
 
+/// Writes `BENCH_<name>.json`. Only a full run may replace the checked-in
+/// artifact at the repo root; a `--quick` run's numbers are not comparable
+/// with it, so they land beside the TSVs in [`experiments_dir`] instead.
+fn write_bench_json(cfg: &HarnessConfig, name: &str, json: &str) {
+    let dir = if cfg.quick {
+        experiments_dir()
+    } else {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    };
+    let path = dir.join(format!("BENCH_{name}.json"));
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => eprintln!("[{name}] wrote {}", path.display()),
+        Err(e) => eprintln!("[{name}] could not write {}: {e}", path.display()),
+    }
+}
+
 /// Tables V and VI: link prediction, seventeen methods × six datasets.
 pub fn tables_5_6(cfg: &HarnessConfig) -> Vec<Table> {
     let datasets = datasets_for(cfg, &DATASET_NAMES, &["UCI", "Taobao"]);
@@ -1141,7 +1157,7 @@ pub fn throughput(cfg: &HarnessConfig) -> Vec<Table> {
         ann_runs.push((label, qps, p50, p99, recall, catalog));
     }
 
-    // --- machine-readable artefact at the repo root ----------------------
+    // --- machine-readable artefact (placed by `write_bench_json`) --------
     let jarr = |items: Vec<String>| format!("[\n    {}\n  ]", items.join(",\n    "));
     let train_json = jarr(
         train_runs
@@ -1258,12 +1274,7 @@ pub fn throughput(cfg: &HarnessConfig) -> Vec<Table> {
         shards_json,
         ann_json,
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_throughput.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[throughput] wrote {}", path.display()),
-        Err(e) => eprintln!("[throughput] could not write {}: {e}", path.display()),
-    }
+    write_bench_json(cfg, "throughput", &json);
     t.save_tsv("throughput.tsv").ok();
     vec![t]
 }
@@ -1341,7 +1352,7 @@ pub fn shardkey(cfg: &HarnessConfig) -> Vec<Table> {
         rows.push((n, stats, balance, owned));
     }
 
-    // --- machine-readable artefact at the repo root ----------------------
+    // --- machine-readable artefact (placed by `write_bench_json`) --------
     let jarr = |items: Vec<String>| format!("[\n    {}\n  ]", items.join(",\n    "));
     let rows_json = jarr(
         rows.iter()
@@ -1375,12 +1386,7 @@ pub fn shardkey(cfg: &HarnessConfig) -> Vec<Table> {
         cfg.quick,
         footprints.len(),
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_shardkey.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[shardkey] wrote {}", path.display()),
-        Err(e) => eprintln!("[shardkey] could not write {}: {e}", path.display()),
-    }
+    write_bench_json(cfg, "shardkey", &json);
     t.save_tsv("shardkey.tsv").ok();
     vec![t]
 }
@@ -1507,7 +1513,7 @@ pub fn overload(cfg: &HarnessConfig) -> Vec<Table> {
         runs.push((policy, report));
     }
 
-    // --- machine-readable artefact at the repo root ----------------------
+    // --- machine-readable artefact (placed by `write_bench_json`) --------
     let jarr = |items: Vec<String>| format!("[\n    {}\n  ]", items.join(",\n    "));
     let runs_json = jarr(
         runs.iter()
@@ -1549,12 +1555,7 @@ pub fn overload(cfg: &HarnessConfig) -> Vec<Table> {
         cfg.quick,
         d.edges.len(),
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_overload.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[overload] wrote {}", path.display()),
-        Err(e) => eprintln!("[overload] could not write {}: {e}", path.display()),
-    }
+    write_bench_json(cfg, "overload", &json);
     t.save_tsv("overload.tsv").ok();
     vec![t]
 }
@@ -1771,7 +1772,7 @@ pub fn replication(cfg: &HarnessConfig) -> Vec<Table> {
         scaling.push((replicas, writer_qps, replica_qps, catchup_ms, replica_stats));
     }
 
-    // --- machine-readable artefact at the repo root ----------------------
+    // --- machine-readable artefact (placed by `write_bench_json`) --------
     let jarr = |items: Vec<String>| format!("[\n    {}\n  ]", items.join(",\n    "));
     let scaling_json = jarr(
         scaling
@@ -1816,12 +1817,7 @@ pub fn replication(cfg: &HarnessConfig) -> Vec<Table> {
         econ.edges.len(),
         report.metrics.events_applied,
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_replication.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[replication] wrote {}", path.display()),
-        Err(e) => eprintln!("[replication] could not write {}: {e}", path.display()),
-    }
+    write_bench_json(cfg, "replication", &json);
     t.save_tsv("replication.tsv").ok();
     vec![t]
 }
@@ -1962,12 +1958,7 @@ pub fn ingest(cfg: &HarnessConfig) -> Vec<Table> {
         st.lines,
         st.malformed,
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_ingest.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[ingest] wrote {}", path.display()),
-        Err(e) => eprintln!("[ingest] could not write {}: {e}", path.display()),
-    }
+    write_bench_json(cfg, "ingest", &json);
     t.save_tsv("ingest.tsv").ok();
     vec![t]
 }

@@ -40,6 +40,9 @@
 //! - [`metrics::ServeMetrics`] — QPS, p50/p99 latency, cache hit rate,
 //!   staleness (admitted events not yet trained into published state),
 //!   shed counts per priority class, and the degradation-level gauge.
+//!   Each counter is one row of a table in `metrics.rs` that drives the
+//!   shard merge, the report, the `--metrics-dump` JSON and the
+//!   [`prom`] exposition; adding one is a one-line change.
 //! - [`loadgen::run_closed_loop`] — seeded replay + query traffic with a
 //!   reproducible result digest, used by `serve_bench` and CI;
 //!   [`loadgen::run_open_loop`] — Poisson-arrival overload traffic that

@@ -277,14 +277,14 @@ fn dump_loop(handle: &ServeHandle, file: std::fs::File, stop: &AtomicBool) {
     let _ = wtr.flush();
 }
 
-/// Re-renders the exposition and answers pending scrapes every ~20 ms
-/// until `stop` is raised, then one final poll. `served` accumulates how
-/// many scrapes were answered (the `prom_wait` gate watches it).
+/// Answers pending scrapes every ~20 ms until `stop` is raised, then one
+/// final poll; the exposition is rendered only when a scrape is waiting.
+/// `served` accumulates how many scrapes were answered (the `prom_wait`
+/// gate watches it).
 fn prom_loop(handle: &ServeHandle, srv: PromServer, stop: &AtomicBool, served: &AtomicU64) {
     loop {
         let done = stop.load(Ordering::Relaxed);
-        let body = crate::prom::render(&handle.metrics());
-        let n = srv.poll(&body);
+        let n = srv.poll(|| crate::prom::render(&handle.metrics()));
         if n > 0 {
             served.fetch_add(n as u64, Ordering::Relaxed);
         }

@@ -1,21 +1,25 @@
 //! Prometheus text exposition for [`ServeMetrics`](crate::ServeMetrics) —
-//! hand-rolled, dependency-free.
+//! table-driven, dependency-free.
 //!
 //! [`render`] turns a [`MetricsReport`] into the Prometheus text format
 //! (`text/plain; version=0.0.4`): one `# HELP` / `# TYPE` header per
-//! family, cumulative tallies suffixed `_total`, point-in-time values as
-//! gauges, and the latency quantiles as a summary-style family labelled by
-//! `quantile` and `path`. [`PromServer`] is the smallest possible scrape
-//! endpoint: a non-blocking TCP listener whose [`PromServer::poll`] call
-//! answers every pending connection with a pre-rendered body. The serving
-//! harness polls it from a side thread so scrapes never touch the query or
-//! writer paths — a scrape costs one `ServeMetrics::report` plus a write.
+//! family. It walks the metrics table (`metrics::DESCRIPTORS`): counter rows
+//! become `supa_{name}_total`, gauge rows `supa_{name}`, and the row's help
+//! string is the `# HELP` text. Only the derived and labelled families are
+//! written out by hand: staleness, the three ratios, shed events by
+//! `priority`, and the QPS / latency quantiles by `path`. [`PromServer`] is
+//! the smallest possible scrape endpoint: a non-blocking TCP listener whose
+//! [`PromServer::poll`] call renders once and answers every pending
+//! connection. The serving harness polls it from a side thread so scrapes
+//! never touch the query or writer paths — a scrape costs one
+//! `ServeMetrics::report` plus a write, and a poll with nobody waiting
+//! costs one `accept`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-use crate::metrics::MetricsReport;
+use crate::metrics::{Kind, MetricsReport, DESCRIPTORS};
 
 /// Renders a report in the Prometheus text exposition format
 /// (`text/plain; version=0.0.4`). Every float the report produces is
@@ -23,329 +27,74 @@ use crate::metrics::MetricsReport;
 pub fn render(r: &MetricsReport) -> String {
     use std::fmt::Write;
     let mut s = String::with_capacity(4096);
-    macro_rules! family {
-        ($name:literal, $kind:literal, $help:literal, $($fmt:tt)*) => {{
-            let _ = writeln!(s, concat!("# HELP supa_", $name, " ", $help));
-            let _ = writeln!(s, concat!("# TYPE supa_", $name, " ", $kind));
-            let _ = writeln!(s, $($fmt)*);
-        }};
-    }
-    family!(
-        "events_ingested_total",
-        "counter",
-        "Events admitted by the guard and inserted into the graph.",
-        "supa_events_ingested_total {}",
-        r.events_ingested
-    );
-    family!(
-        "events_quarantined_total",
-        "counter",
-        "Events the stream guard quarantined.",
-        "supa_events_quarantined_total {}",
-        r.events_quarantined
-    );
-    family!(
-        "events_applied_total",
-        "counter",
-        "Admitted events whose training update has been applied.",
-        "supa_events_applied_total {}",
-        r.events_applied
-    );
-    family!(
-        "epochs_published",
-        "gauge",
-        "Current published epoch number.",
-        "supa_epochs_published {}",
-        r.epochs_published
-    );
-    family!(
-        "staleness_events",
-        "gauge",
-        "Admitted events not yet reflected in published embeddings.",
-        "supa_staleness_events {}",
-        r.staleness
-    );
-    family!(
-        "queries_total",
-        "counter",
-        "Queries answered.",
-        "supa_queries_total {}",
-        r.queries
-    );
-    family!(
-        "cache_hit_rate",
-        "gauge",
-        "Fraction of queries answered from the per-user cache.",
-        "supa_cache_hit_rate {:.6}",
-        r.cache_hit_rate
-    );
-    family!(
-        "torn_reads_total",
-        "counter",
-        "Verified queries that matched no published epoch (must stay 0).",
-        "supa_torn_reads_total {}",
-        r.torn_reads
-    );
-    // Latency quantiles as a summary-style family: `path` distinguishes the
-    // combined distribution from its cache-hit / cache-miss splits.
-    {
+    for d in DESCRIPTORS {
+        let (suffix, kind) = match d.kind {
+            Kind::Counter => ("_total", "counter"),
+            Kind::Gauge => ("", "gauge"),
+            Kind::Labelled | Kind::Internal => continue,
+        };
+        let (name, help, value) = (d.name, d.help, (d.get)(r));
         let _ = writeln!(
             s,
-            "# HELP supa_query_latency_us Query latency quantiles (log2-bucketed, microseconds)."
+            "# HELP supa_{name}{suffix} {help}\n\
+             # TYPE supa_{name}{suffix} {kind}\n\
+             supa_{name}{suffix} {value}"
         );
-        let _ = writeln!(s, "# TYPE supa_query_latency_us gauge");
-        for (path, p50, p99) in [
-            ("all", r.p50_us, r.p99_us),
-            ("cached", r.cached_p50_us, r.cached_p99_us),
-            ("uncached", r.uncached_p50_us, r.uncached_p99_us),
-        ] {
-            let _ = writeln!(
-                s,
-                "supa_query_latency_us{{path=\"{path}\",quantile=\"0.5\"}} {p50:.3}"
-            );
-            let _ = writeln!(
-                s,
-                "supa_query_latency_us{{path=\"{path}\",quantile=\"0.99\"}} {p99:.3}"
-            );
-        }
     }
-    {
-        let _ = writeln!(
-            s,
-            "# HELP supa_qps Queries per second over the report window."
-        );
-        let _ = writeln!(s, "# TYPE supa_qps gauge");
-        for (path, qps) in [
-            ("all", r.qps),
-            ("cached", r.cached_qps),
-            ("uncached", r.uncached_qps),
-        ] {
-            let _ = writeln!(s, "supa_qps{{path=\"{path}\"}} {qps:.3}");
-        }
-    }
-    family!(
-        "ann_queries_total",
-        "counter",
-        "Metered queries answered through the ANN index.",
-        "supa_ann_queries_total {}",
-        r.ann_queries
-    );
-    family!(
-        "ann_guard_checks_total",
-        "counter",
-        "ANN answers re-scored against the full candidate set.",
-        "supa_ann_guard_checks_total {}",
-        r.ann_guard_checks
-    );
-    family!(
-        "ann_recall",
-        "gauge",
-        "Mean guard-measured recall@K (1.0 until any check).",
-        "supa_ann_recall {:.6}",
-        r.ann_recall
-    );
-    family!(
-        "ann_recall_ewma",
-        "gauge",
-        "Guard-recall moving average (alpha = 1/8).",
-        "supa_ann_recall_ewma {:.6}",
-        r.ann_recall_ewma
-    );
-    family!(
-        "ann_guard_breaches_total",
-        "counter",
-        "Guard checks whose recall fell below the floor.",
-        "supa_ann_guard_breaches_total {}",
-        r.ann_guard_breaches
-    );
-    family!(
-        "ann_publish_us_total",
-        "counter",
-        "Cumulative microseconds refreshing ANN indexes at publication.",
-        "supa_ann_publish_us_total {}",
-        r.ann_publish_us
-    );
-    family!(
-        "ann_publish_last_us",
-        "gauge",
-        "Microseconds of the most recent epoch's ANN refresh.",
-        "supa_ann_publish_last_us {}",
-        r.ann_publish_last_us
-    );
-    family!(
-        "ann_refresh_batch",
-        "gauge",
-        "Ids re-linked into the ANN indexes at the most recent epoch.",
-        "supa_ann_refresh_batch {}",
-        r.ann_refresh_batch
-    );
-    family!(
-        "ann_ef_search",
-        "gauge",
-        "ef_search currently in effect (moves under auto-tuning).",
-        "supa_ann_ef_search {}",
-        r.ann_ef_search
-    );
-    family!(
-        "ann_ef_margin",
-        "gauge",
-        "ef_margin currently in effect.",
-        "supa_ann_ef_margin {}",
-        r.ann_ef_margin
-    );
-    {
-        let _ = writeln!(
-            s,
-            "# HELP supa_events_shed_total Events shed by the admission layer, by priority class."
-        );
-        let _ = writeln!(s, "# TYPE supa_events_shed_total counter");
-        for (prio, n) in [
-            ("low", r.events_shed_low),
-            ("normal", r.events_shed_normal),
-            ("high", r.events_shed_high),
-        ] {
-            let _ = writeln!(s, "supa_events_shed_total{{priority=\"{prio}\"}} {n}");
-        }
-    }
-    family!(
-        "events_resampled_total",
-        "counter",
-        "Events admitted as 1-in-k survivors under sampling shed.",
-        "supa_events_resampled_total {}",
-        r.events_resampled
-    );
-    family!(
-        "degradation_level",
-        "gauge",
-        "Current degradation-ladder level (0 = full service).",
-        "supa_degradation_level {}",
-        r.degradation_level
-    );
-    family!(
-        "degradation_max",
-        "gauge",
-        "Highest ladder level reached over the engine lifetime.",
-        "supa_degradation_max {}",
-        r.degradation_max
-    );
-    family!(
-        "level_escalations_total",
-        "counter",
-        "Degradation-ladder escalations.",
-        "supa_level_escalations_total {}",
-        r.level_escalations
-    );
-    family!(
-        "level_deescalations_total",
-        "counter",
-        "Degradation-ladder de-escalations.",
-        "supa_level_deescalations_total {}",
-        r.level_deescalations
-    );
-    family!(
-        "shed_occupancy",
-        "gauge",
-        "Queue occupancy at the most recent shed decision.",
-        "supa_shed_occupancy {}",
-        r.shed_occupancy
-    );
-    family!(
-        "deltas_published_total",
-        "counter",
-        "Epoch-delta frames published by the replication publisher.",
-        "supa_deltas_published_total {}",
-        r.deltas_published
-    );
-    family!(
-        "delta_bytes_published_total",
-        "counter",
-        "Wire bytes of published delta frames.",
-        "supa_delta_bytes_published_total {}",
-        r.delta_bytes_published
-    );
-    family!(
-        "delta_publish_errors_total",
-        "counter",
-        "Publish attempts that failed on transport I/O.",
-        "supa_delta_publish_errors_total {}",
-        r.delta_publish_errors
-    );
-    family!(
-        "deltas_applied_total",
-        "counter",
-        "Replication frames applied on the replica side.",
-        "supa_deltas_applied_total {}",
-        r.deltas_applied
-    );
-    family!(
-        "delta_bytes_applied_total",
-        "counter",
-        "Wire bytes of applied replication frames.",
-        "supa_delta_bytes_applied_total {}",
-        r.delta_bytes_applied
-    );
-    family!(
-        "replica_lag_epochs",
-        "gauge",
-        "Replica lag behind the writer, in epochs.",
-        "supa_replica_lag_epochs {}",
-        r.replica_lag_epochs
-    );
-    family!(
-        "delta_crc_failures_total",
-        "counter",
-        "Replication frames rejected by CRC/framing checks.",
-        "supa_delta_crc_failures_total {}",
-        r.delta_crc_failures
-    );
-    family!(
-        "delta_resyncs_total",
-        "counter",
-        "Replication resyncs (reconnect or baseline scan).",
-        "supa_delta_resyncs_total {}",
-        r.delta_resyncs
-    );
-    family!(
-        "ingest_lines_total",
-        "counter",
-        "Lines consumed by the streaming TSV reader.",
-        "supa_ingest_lines_total {}",
-        r.ingest_lines
-    );
-    family!(
-        "ingest_comments_total",
-        "counter",
-        "Comment/blank lines skipped by the streaming reader.",
-        "supa_ingest_comments_total {}",
-        r.ingest_comments
-    );
-    family!(
-        "ingest_malformed_total",
-        "counter",
-        "Malformed lines skipped under lenient streaming.",
-        "supa_ingest_malformed_total {}",
-        r.ingest_malformed
-    );
-    family!(
-        "ingest_interned_nodes",
-        "gauge",
-        "Distinct string node ids interned by the streaming reader.",
-        "supa_ingest_interned_nodes {}",
-        r.ingest_interned_nodes
-    );
-    family!(
-        "ingest_spills_total",
-        "counter",
-        "Interner spill-to-disk episodes under the memory budget.",
-        "supa_ingest_spills_total {}",
-        r.ingest_spills
-    );
-    family!(
-        "ingest_bytes_total",
-        "counter",
-        "Bytes consumed from the streamed dump.",
-        "supa_ingest_bytes_total {}",
-        r.ingest_bytes
+    // The derived and labelled families, written out as the text they are.
+    // `path` distinguishes the combined query distribution from its
+    // cache-hit / cache-miss splits.
+    let MetricsReport {
+        staleness,
+        cache_hit_rate,
+        ann_recall,
+        ann_recall_ewma,
+        events_shed_low,
+        events_shed_normal,
+        events_shed_high,
+        qps,
+        cached_qps,
+        uncached_qps,
+        p50_us,
+        p99_us,
+        cached_p50_us,
+        cached_p99_us,
+        uncached_p50_us,
+        uncached_p99_us,
+        ..
+    } = r;
+    let _ = write!(
+        s,
+        "# HELP supa_staleness_events Admitted events not yet reflected in published embeddings.\n\
+         # TYPE supa_staleness_events gauge\n\
+         supa_staleness_events {staleness}\n\
+         # HELP supa_cache_hit_rate Fraction of queries answered from the per-user cache.\n\
+         # TYPE supa_cache_hit_rate gauge\n\
+         supa_cache_hit_rate {cache_hit_rate:.6}\n\
+         # HELP supa_ann_recall Mean guard-measured recall@K (1.0 until any check).\n\
+         # TYPE supa_ann_recall gauge\n\
+         supa_ann_recall {ann_recall:.6}\n\
+         # HELP supa_ann_recall_ewma Guard-recall moving average (alpha = 1/8).\n\
+         # TYPE supa_ann_recall_ewma gauge\n\
+         supa_ann_recall_ewma {ann_recall_ewma:.6}\n\
+         # HELP supa_events_shed_total Events shed by the admission layer, by priority class.\n\
+         # TYPE supa_events_shed_total counter\n\
+         supa_events_shed_total{{priority=\"low\"}} {events_shed_low}\n\
+         supa_events_shed_total{{priority=\"normal\"}} {events_shed_normal}\n\
+         supa_events_shed_total{{priority=\"high\"}} {events_shed_high}\n\
+         # HELP supa_qps Queries per second over the report window.\n\
+         # TYPE supa_qps gauge\n\
+         supa_qps{{path=\"all\"}} {qps:.3}\n\
+         supa_qps{{path=\"cached\"}} {cached_qps:.3}\n\
+         supa_qps{{path=\"uncached\"}} {uncached_qps:.3}\n\
+         # HELP supa_query_latency_us Query latency quantiles (log2-bucketed, microseconds).\n\
+         # TYPE supa_query_latency_us gauge\n\
+         supa_query_latency_us{{path=\"all\",quantile=\"0.5\"}} {p50_us:.3}\n\
+         supa_query_latency_us{{path=\"all\",quantile=\"0.99\"}} {p99_us:.3}\n\
+         supa_query_latency_us{{path=\"cached\",quantile=\"0.5\"}} {cached_p50_us:.3}\n\
+         supa_query_latency_us{{path=\"cached\",quantile=\"0.99\"}} {cached_p99_us:.3}\n\
+         supa_query_latency_us{{path=\"uncached\",quantile=\"0.5\"}} {uncached_p50_us:.3}\n\
+         supa_query_latency_us{{path=\"uncached\",quantile=\"0.99\"}} {uncached_p99_us:.3}\n"
     );
     s
 }
@@ -356,7 +105,7 @@ pub fn render(r: &MetricsReport) -> String {
 const SCRAPE_IO_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// A minimal Prometheus scrape endpoint: a non-blocking TCP listener that
-/// answers every pending connection with a pre-rendered exposition body.
+/// answers every pending connection with a freshly rendered exposition body.
 ///
 /// The server never reads the request beyond draining what has already
 /// arrived — every path on every method gets the same `200` with
@@ -379,20 +128,19 @@ impl PromServer {
         self.listener.local_addr()
     }
 
-    /// Answers every connection currently pending on the listener with
-    /// `body`, returning how many scrapes were served. Returns immediately
-    /// when nothing is pending.
-    pub fn poll(&self, body: &str) -> usize {
+    /// Answers every connection currently pending on the listener,
+    /// returning how many scrapes were served. `render` produces the body
+    /// and is called at most once per poll, and only after a connection
+    /// has been accepted: a poll with nothing pending returns immediately
+    /// without rendering.
+    pub fn poll(&self, mut render: impl FnMut() -> String) -> usize {
         let mut served = 0;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if answer(stream, body).is_ok() {
-                        served += 1;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+        let mut body = None;
+        // `WouldBlock` means the backlog is drained; any other accept error
+        // ends this poll too, and the next one retries.
+        while let Ok((stream, _)) = self.listener.accept() {
+            if answer(stream, body.get_or_insert_with(&mut render)).is_ok() {
+                served += 1;
             }
         }
         served
@@ -483,11 +231,106 @@ mod tests {
         assert!(text.contains("supa_ingest_bytes_total 4096"), "{text}");
     }
 
+    /// Every `# TYPE` line of the last hand-written `render` (minus the
+    /// never-written `supa_replica_lag_epochs`), sorted. Families may be
+    /// added; an existing one changing is a wire-format break.
+    const FAMILIES: &str = "\
+        supa_ann_ef_margin gauge\nsupa_ann_ef_search gauge\n\
+        supa_ann_guard_breaches_total counter\nsupa_ann_guard_checks_total counter\n\
+        supa_ann_publish_last_us gauge\nsupa_ann_publish_us_total counter\n\
+        supa_ann_queries_total counter\nsupa_ann_recall gauge\nsupa_ann_recall_ewma gauge\n\
+        supa_ann_refresh_batch gauge\nsupa_cache_hit_rate gauge\nsupa_degradation_level gauge\n\
+        supa_degradation_max gauge\nsupa_delta_bytes_applied_total counter\n\
+        supa_delta_bytes_published_total counter\nsupa_delta_crc_failures_total counter\n\
+        supa_delta_publish_errors_total counter\nsupa_delta_resyncs_total counter\n\
+        supa_deltas_applied_total counter\nsupa_deltas_published_total counter\n\
+        supa_epochs_published gauge\nsupa_events_applied_total counter\n\
+        supa_events_ingested_total counter\nsupa_events_quarantined_total counter\n\
+        supa_events_resampled_total counter\nsupa_events_shed_total counter\n\
+        supa_ingest_bytes_total counter\nsupa_ingest_comments_total counter\n\
+        supa_ingest_interned_nodes gauge\nsupa_ingest_lines_total counter\n\
+        supa_ingest_malformed_total counter\nsupa_ingest_spills_total counter\n\
+        supa_level_deescalations_total counter\nsupa_level_escalations_total counter\n\
+        supa_qps gauge\nsupa_queries_total counter\nsupa_query_latency_us gauge\n\
+        supa_shed_occupancy gauge\nsupa_staleness_events gauge\nsupa_torn_reads_total counter";
+
+    /// What `render` adds to the counter and gauge rows of the table.
+    const DERIVED_FAMILIES: [&str; 7] = [
+        "supa_staleness_events gauge",
+        "supa_cache_hit_rate gauge",
+        "supa_ann_recall gauge",
+        "supa_ann_recall_ewma gauge",
+        "supa_events_shed_total counter",
+        "supa_qps gauge",
+        "supa_query_latency_us gauge",
+    ];
+
+    #[test]
+    fn every_table_row_round_trips_into_its_own_family() {
+        // Row `i` holds `i + 1`: every raw counter distinct and non-zero.
+        let m = ServeMetrics::default();
+        for (i, d) in DESCRIPTORS.iter().enumerate() {
+            (d.cell)(&m).store(i as u64 + 1, Ordering::Relaxed);
+        }
+        let r = m.report(Duration::from_secs(1));
+        let text = render(&r);
+        let has = |line: String| text.lines().any(|l| l == line);
+        let mut families = Vec::new();
+        for (i, d) in DESCRIPTORS.iter().enumerate() {
+            let (name, kind) = match d.kind {
+                Kind::Counter => (format!("supa_{}_total", d.name), "counter"),
+                Kind::Gauge => (format!("supa_{}", d.name), "gauge"),
+                // Neither is scraped under its own name.
+                Kind::Labelled | Kind::Internal => {
+                    assert!(!text.contains(&format!("supa_{}", d.name)), "{}", d.name);
+                    continue;
+                }
+            };
+            assert!(has(format!("{name} {}", i + 1)), "{name} in {text}");
+            assert!(has(format!("# HELP {name} {}", d.help)), "{name}");
+            families.push(format!("{name} {kind}"));
+        }
+        // Labelled rows are scraped as one label value each; internal
+        // tallies through their derived ratios, in the pinned formats.
+        for (prio, n) in [
+            ("low", r.events_shed_low),
+            ("normal", r.events_shed_normal),
+            ("high", r.events_shed_high),
+        ] {
+            assert!(has(format!(
+                "supa_events_shed_total{{priority=\"{prio}\"}} {n}"
+            )));
+        }
+        assert!(has(format!("supa_cache_hit_rate {:.6}", 6.0 / 5.0)));
+        assert!(has(format!("supa_ann_recall {:.6}", 11.0 / 10.0)));
+        assert!(has("supa_ann_recall_ewma 0.000017".into()));
+        assert!(has(format!("supa_staleness_events {}", r.staleness)));
+        assert!(has(format!("supa_qps{{path=\"all\"}} {:.3}", r.qps)));
+        // The `# TYPE` lines are exactly the table's counters and gauges
+        // plus the derived list, each once — and that set is the pinned
+        // wire format.
+        families.extend(DERIVED_FAMILIES.map(String::from));
+        families.sort_unstable();
+        let mut announced: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .collect();
+        announced.sort_unstable();
+        assert_eq!(announced, families);
+        assert_eq!(announced, FAMILIES.lines().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn poll_renders_only_for_a_pending_connection() {
+        let srv = PromServer::bind("127.0.0.1:0").unwrap();
+        let served = srv.poll(|| panic!("rendered with nobody waiting"));
+        assert_eq!(served, 0);
+    }
+
     #[test]
     fn server_answers_a_real_scrape() {
         let srv = PromServer::bind("127.0.0.1:0").unwrap();
         let addr = srv.local_addr().unwrap();
-        assert_eq!(srv.poll("ignored"), 0, "no pending connection yet");
         let body = render(&sample_report());
         let client = std::thread::spawn(move || {
             let mut c = TcpStream::connect(addr).unwrap();
@@ -498,15 +341,19 @@ mod tests {
             response
         });
         // Poll until the pending connection is picked up.
-        let mut served = 0;
+        let (mut served, mut renders) = (0, 0);
         for _ in 0..200 {
-            served += srv.poll(&body);
+            served += srv.poll(|| {
+                renders += 1;
+                body.clone()
+            });
             if served > 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(served, 1);
+        assert_eq!(renders, 1, "idle polls must not render");
         let response = client.join().unwrap();
         assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
         assert!(
