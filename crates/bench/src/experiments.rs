@@ -1060,12 +1060,14 @@ pub fn throughput(cfg: &HarnessConfig) -> Vec<Table> {
         // the live publish/refresh counters of the serving engine.
         if ann_on {
             use supa_ann::{AnnConfig, HnswIndex};
+            use supa_replica::retrieval::{Catalog, GroupIndexes};
             let snap = handle.snapshot();
             let ann = snap.ann.as_ref().expect("ann epoch published");
-            let (group_of, num_groups) = schema.dst_type_groups();
+            let catalog = Catalog::new(&da.prototype);
+            let num_groups = catalog.groups().len();
             let mut live_bytes = 0usize;
             let mut seen = vec![false; num_groups];
-            for (r, &g) in group_of.iter().enumerate() {
+            for (r, &g) in catalog.group_of().iter().enumerate() {
                 let rel = supa_graph::RelationId(r as u16);
                 if let Some(i) = ann.index(rel) {
                     if !seen[g] {
@@ -1079,29 +1081,16 @@ pub fn throughput(cfg: &HarnessConfig) -> Vec<Table> {
                 ef_construction: ann_opts.ef_construction,
                 seed: ann_opts.seed,
             };
-            let mut buf = Vec::new();
             let t0 = Instant::now();
-            let mut shared_bytes = 0usize;
-            let mut built = vec![false; num_groups];
-            for (r, &g) in group_of.iter().enumerate() {
-                let rel = supa_graph::RelationId(r as u16);
-                if built[g] {
-                    continue;
-                }
-                built[g] = true;
-                let cands = handle.candidates(rel);
-                if cands.is_empty() {
-                    continue;
-                }
-                snap.scorer.base_into(cands[0], &mut buf);
-                let mut idx = HnswIndex::new(buf.len(), acfg.clone());
-                for &v in cands {
-                    snap.scorer.base_into(v, &mut buf);
-                    idx.insert(v.0, &buf);
-                }
-                shared_bytes += idx.memory_bytes();
-            }
+            let shared = GroupIndexes::build(acfg.clone(), &snap.scorer, catalog.groups().to_vec());
+            let shared_bytes: usize = shared
+                .indexes()
+                .iter()
+                .flatten()
+                .map(HnswIndex::memory_bytes)
+                .sum();
             let shared_us = t0.elapsed().as_micros() as u64;
+            let mut buf = Vec::new();
             let t0 = Instant::now();
             let mut per_rel_bytes = 0usize;
             for r in 0..schema.num_relations() {

@@ -13,9 +13,12 @@
 //!   with the delta chain that follows it, so a replica never observes a
 //!   gap on a healthy connection.
 //! - [`Replica`] (reader side) applies baselines and deltas to a local
-//!   [`supa::ServingSnapshot`] + per-relation ANN indexes and answers top-K
-//!   queries exactly like the writer's serving path: ANN candidates are
-//!   re-scored exactly, so *same epoch ⇒ byte-identical ids and scores*.
+//!   [`supa::ServingSnapshot`] + shared-base ANN indexes and answers top-K
+//!   queries, so *same epoch ⇒ byte-identical ids and scores*.
+//! - [`retrieval`] is why that holds: the candidate layout, the index
+//!   build / refresh / adoption and the ANN-or-brute query rule live there
+//!   once, and the writer's serving engine (`supa-serve`) calls the same
+//!   code.
 //! - [`run_tcp`] / [`replay_segment`] drive a replica from either
 //!   transport, turning torn frames (CRC failures) and epoch-chain gaps
 //!   into counted resyncs — a fresh baseline over TCP, a scan to the next
@@ -24,6 +27,7 @@
 
 mod publisher;
 mod replica;
+pub mod retrieval;
 
 pub use publisher::{DeltaPublisher, PublishOptions};
 pub use replica::{replay_segment, run_tcp, AnnParams, Replica, ReplicaCounters};

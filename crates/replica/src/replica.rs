@@ -1,22 +1,23 @@
 //! Reader-side replica: applies baseline/delta frames to a local serving
-//! snapshot + ANN indexes and answers top-K queries bit-identically to the
-//! writer's serving path at the same epoch.
+//! snapshot + ANN indexes and answers top-K queries through
+//! [`crate::retrieval`] — the module the writer's serving path calls too, so
+//! answers at the same epoch are bit-identical.
 
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::Path;
 use std::time::Duration;
 
-use supa::delta::{
-    decode_frame, read_frame, DeltaFrame, Frame, WireError, MAGIC_BASELINE, MAGIC_DELTA,
-};
+use supa::delta::{decode_frame, read_frame, Frame, WireError, MAGIC_BASELINE, MAGIC_DELTA};
 use supa::ServingSnapshot;
-use supa_ann::{decode_index_set, AnnConfig, HnswIndex, SearchScratch};
-use supa_eval::{top_k_scored_with, TopKScratch};
+use supa_ann::{decode_index_set, AnnConfig};
 use supa_graph::{Dmhg, NodeId, RelationId};
 
-/// ANN parameters a replica mirrors from the writer. Must match the
-/// writer's [`supa-serve` AnnOptions] for bit-identical index structure
+use crate::retrieval::{retrieve, Catalog, GroupIndexes, Scratch};
+
+/// The ANN parameters writer and replica share; the writer's `AnnOptions`
+/// takes its defaults from here. `m`, `ef_construction` and `seed` must be
+/// equal on both sides for bit-identical index structure
 /// (`ef_search`/`ef_margin` only shape queries, not the index).
 #[derive(Debug, Clone)]
 pub struct AnnParams {
@@ -46,7 +47,8 @@ impl Default for AnnParams {
 }
 
 impl AnnParams {
-    fn config(&self) -> AnnConfig {
+    /// The index-construction part of the parameters.
+    pub fn config(&self) -> AnnConfig {
         AnnConfig {
             m: self.m,
             ef_construction: self.ef_construction,
@@ -86,27 +88,16 @@ pub struct ReplicaCounters {
 /// replication frames.
 pub struct Replica {
     graph: Dmhg,
-    /// Per-relation candidate lists, ascending and duplicate-free —
-    /// constructed exactly like the writer's serving engine, from the same
-    /// fixed node universe.
-    candidates: Vec<Vec<NodeId>>,
-    /// Relation → destination-type group: relations sharing a destination
-    /// type share one candidate set and one shared-base index (the same
-    /// pure-function-of-schema grouping the writer derives).
-    group_of: Vec<usize>,
-    /// One candidate list per group (the list of any relation in the group).
-    group_candidates: Vec<Vec<NodeId>>,
+    /// The candidate layout, derived from the same fixed node universe as
+    /// the writer's.
+    catalog: Catalog,
     snapshot: Option<ServingSnapshot>,
     epoch: u64,
     ann: Option<AnnParams>,
-    /// One shared-base index per destination-type group.
-    indexes: Vec<Option<HnswIndex>>,
-    buf: Vec<f32>,
-    batch_ids: Vec<u32>,
-    batch_rows: Vec<f32>,
-    topk: TopKScratch,
-    search: SearchScratch,
-    cand_buf: Vec<NodeId>,
+    /// The shared-base indexes over the full catalog (one partition owning
+    /// everything); `None` until a baseline arrives or when serving exactly.
+    indexes: Option<GroupIndexes>,
+    scratch: Scratch,
     /// Stream counters (public: the CLI bridges these into serve metrics).
     pub counters: ReplicaCounters,
 }
@@ -116,39 +107,14 @@ impl Replica {
     /// typically the dataset prototype — same schema and nodes, no edges).
     /// Queries return nothing until a baseline frame arrives.
     pub fn new(graph: Dmhg, ann: Option<AnnParams>) -> Replica {
-        let candidates: Vec<Vec<NodeId>> = (0..graph.schema().num_relations())
-            .map(|r| {
-                let spec = graph.schema().relation(RelationId(r as u16)).unwrap();
-                let mut list = graph.nodes_of_type(spec.dst_type).to_vec();
-                list.sort_unstable();
-                list.dedup();
-                list
-            })
-            .collect();
-        let (group_of, num_groups) = graph.schema().dst_type_groups();
-        let mut group_candidates: Vec<Vec<NodeId>> = vec![Vec::new(); num_groups];
-        let mut filled = vec![false; num_groups];
-        for (r, &g) in group_of.iter().enumerate() {
-            if !filled[g] {
-                group_candidates[g] = candidates[r].clone();
-                filled[g] = true;
-            }
-        }
         Replica {
+            catalog: Catalog::new(&graph),
             graph,
-            candidates,
-            group_of,
-            group_candidates,
             snapshot: None,
             epoch: 0,
             ann,
-            indexes: Vec::new(),
-            buf: Vec::new(),
-            batch_ids: Vec::new(),
-            batch_rows: Vec::new(),
-            topk: TopKScratch::default(),
-            search: SearchScratch::default(),
-            cand_buf: Vec::new(),
+            indexes: None,
+            scratch: Scratch::default(),
             counters: ReplicaCounters::default(),
         }
     }
@@ -170,10 +136,7 @@ impl Replica {
 
     /// Candidate items for a relation (all nodes of its destination type).
     pub fn candidates(&self, rel: RelationId) -> &[NodeId] {
-        self.candidates
-            .get(rel.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.catalog.candidates(rel)
     }
 
     /// Applies one frame. Baselines always apply (they *are* the resync
@@ -182,27 +145,46 @@ impl Replica {
     pub fn apply(&mut self, frame: &Frame) -> Result<(), WireError> {
         match frame {
             Frame::Baseline(b) => {
-                for list in &self.candidates {
-                    if let Some(&max) = list.last() {
-                        if max.index() >= b.snapshot.num_nodes() {
-                            return Err(WireError::LayoutMismatch(
-                                "baseline smaller than local node universe",
-                            ));
-                        }
-                    }
+                let n = b.snapshot.num_nodes();
+                let fits = |list: &Vec<NodeId>| list.last().is_none_or(|max| max.index() < n);
+                if !self.catalog.groups().iter().all(fits) {
+                    return Err(WireError::LayoutMismatch(
+                        "baseline smaller than local node universe",
+                    ));
                 }
                 self.snapshot = Some(b.snapshot.clone());
                 self.epoch = b.epoch;
-                if self.ann.is_some() {
-                    if b.index
+                if let Some(params) = &self.ann {
+                    let owned = || self.catalog.groups().to_vec();
+                    // A set that does not match this replica's layout is
+                    // reported and rebuilt — never silently adopted.
+                    let adopted = b
+                        .index
                         .as_deref()
-                        .is_some_and(|bytes| self.adopt_indexes(bytes))
-                    {
-                        self.counters.index_adoptions += 1;
-                    } else {
-                        self.rebuild_indexes();
-                        self.counters.index_rebuilds += 1;
-                    }
+                        .map(|bytes| adopt_set(b.snapshot.dim(), owned(), bytes))
+                        .transpose()
+                        .unwrap_or_else(|why| {
+                            eprintln!(
+                                "supa-replica: baseline ann index rejected ({why}); \
+                                 rebuilding indexes"
+                            );
+                            None
+                        });
+                    self.indexes = Some(match adopted {
+                        Some(indexes) => {
+                            self.counters.index_adoptions += 1;
+                            indexes
+                        }
+                        // Built in the writer's initial-build order, so an
+                        // epoch-0 bootstrap is still bit-identical; after a
+                        // mid-stream resync the structure may differ from the
+                        // writer's refreshed one, which only top-K membership
+                        // can show (scores stay exact).
+                        None => {
+                            self.counters.index_rebuilds += 1;
+                            GroupIndexes::build(params.config(), &b.snapshot, owned())
+                        }
+                    });
                 }
                 self.counters.baselines_applied += 1;
                 Ok(())
@@ -227,7 +209,10 @@ impl Replica {
                         self.counters.events_appended += 1;
                     }
                 }
-                self.refresh_indexes(d);
+                // The writer's per-epoch refresh, over the frame's dirty list.
+                if let Some(indexes) = &mut self.indexes {
+                    indexes.refresh(snapshot, &d.ann_dirty);
+                }
                 self.epoch = d.epoch;
                 self.counters.deltas_applied += 1;
                 Ok(())
@@ -235,140 +220,46 @@ impl Replica {
         }
     }
 
-    /// Adopts a baseline's embedded serialized index set in place of a
-    /// rebuild. Returns `false` (caller rebuilds) unless the set decodes
-    /// (every fingerprint verified), comes from an unsharded writer, and
-    /// matches this replica's group layout exactly — adoption is
-    /// all-or-nothing, never a silently mismatched index.
-    fn adopt_indexes(&mut self, bytes: &[u8]) -> bool {
-        let Some(snapshot) = &self.snapshot else {
-            return false;
-        };
-        let Ok((mut sets, _stamps)) = decode_index_set(bytes) else {
-            return false;
-        };
-        // A sharded writer's set partitions the catalog per shard; this
-        // replica keeps one full-catalog index per group, so only an
-        // unsharded (single-partition) set is structurally adoptable.
-        if sets.len() != 1 {
-            return false;
-        }
-        let set = sets.pop().expect("length checked");
-        if set.len() != self.group_candidates.len() {
-            return false;
-        }
-        for (index, cands) in set.iter().zip(&self.group_candidates) {
-            match index {
-                Some(ix) => {
-                    if ix.dim() != snapshot.dim() || ix.len() != cands.len() {
-                        return false;
-                    }
-                }
-                None => {
-                    if !cands.is_empty() {
-                        return false;
-                    }
-                }
-            }
-        }
-        self.indexes = set;
-        true
-    }
-
-    /// Rebuilds every per-group shared-base index from the current
-    /// snapshot, in the same ascending-candidate insertion order as the
-    /// writer's initial build. A replica that bootstraps from the writer's
-    /// epoch-0 baseline therefore holds structurally bit-identical indexes;
-    /// after a mid-stream resync the rebuilt structure may differ from the
-    /// writer's incrementally-maintained one, but answers keep exact scores
-    /// (ANN candidates are always re-scored exactly) — only top-K
-    /// membership can transiently differ, exactly as between ANN and brute
-    /// force.
-    fn rebuild_indexes(&mut self) {
-        self.indexes.clear();
-        let (Some(opts), Some(snapshot)) = (&self.ann, &self.snapshot) else {
-            return;
-        };
-        for cands in &self.group_candidates {
-            if cands.is_empty() {
-                self.indexes.push(None);
-                continue;
-            }
-            let mut index = HnswIndex::new(snapshot.dim(), opts.config());
-            for &item in cands {
-                snapshot.base_into(item, &mut self.buf);
-                index.insert(item.0, &self.buf);
-            }
-            self.indexes.push(Some(index));
-        }
-    }
-
-    /// Mirrors the writer's per-epoch refresh: one `update_batch` per group
-    /// over the frame's dirty ∩ candidate ids with their new base vectors,
-    /// in the frame's (ascending) order.
-    fn refresh_indexes(&mut self, d: &DeltaFrame) {
-        let Some(snapshot) = &self.snapshot else {
-            return;
-        };
-        for (g, index) in self.indexes.iter_mut().enumerate() {
-            let Some(index) = index else { continue };
-            let cands = &self.group_candidates[g];
-            self.batch_ids.clear();
-            self.batch_rows.clear();
-            for &id in &d.ann_dirty {
-                if cands.binary_search(&NodeId(id)).is_ok() {
-                    snapshot.base_into(NodeId(id), &mut self.buf);
-                    self.batch_ids.push(id);
-                    self.batch_rows.extend_from_slice(&self.buf);
-                }
-            }
-            if !self.batch_ids.is_empty() {
-                index.update_batch(&self.batch_ids, &self.batch_rows);
-            }
-        }
-    }
-
-    /// Answers a top-K query against the replica's current epoch, through
-    /// the ANN index when one applies and exact brute force otherwise —
-    /// the same decision rule and the same exact re-scoring as the writer's
-    /// serving path, so same epoch ⇒ byte-identical ids and scores.
+    /// Answers a top-K query against the replica's current epoch by the
+    /// shared rule ([`retrieve`]): through the group's index when one applies
+    /// and the exact scan otherwise, survivors re-scored exactly — so same
+    /// epoch ⇒ byte-identical ids and scores as the writer.
     pub fn query(&mut self, user: NodeId, rel: RelationId, k: usize) -> Vec<(NodeId, f32)> {
         let Some(snapshot) = &self.snapshot else {
             return Vec::new();
         };
-        let candidates = self
-            .candidates
-            .get(rel.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        let group_index = self
-            .group_of
-            .get(rel.index())
-            .and_then(|&g| self.indexes.get(g))
-            .and_then(Option::as_ref);
-        if let (Some(opts), Some(index)) = (&self.ann, group_index) {
-            let ef = opts.ef_search.max(k).saturating_add(opts.ef_margin);
-            if k > 0 && ef < candidates.len() {
-                // Query with the full composite (relation term included);
-                // the widened beam plus the exact re-score below recovers
-                // the candidate-side context the base index omits.
-                snapshot.composite_into(user, rel, &mut self.buf);
-                let found = index.search_into(&self.buf, ef, ef, &mut self.search);
-                self.cand_buf.clear();
-                self.cand_buf.extend(found.iter().map(|&id| NodeId(id)));
-                return top_k_scored_with(snapshot, user, &self.cand_buf, rel, k, &mut self.topk)
-                    .to_vec();
-            }
-        }
-        top_k_scored_with(snapshot, user, candidates, rel, k, &mut self.topk).to_vec()
+        let index = self
+            .indexes
+            .as_ref()
+            .zip(self.catalog.group_of().get(rel.index()))
+            .and_then(|(ix, &g)| ix.indexes()[g].as_ref());
+        let p = self.ann.as_ref();
+        let (items, _) = retrieve(
+            snapshot,
+            self.catalog.candidates(rel),
+            index.into_iter(),
+            p.map_or(0, |p| p.ef_search),
+            p.map_or(0, |p| p.ef_margin),
+            user,
+            rel,
+            k,
+            &mut self.scratch,
+        );
+        items.to_vec()
     }
+}
 
-    /// The guard state carried by the last applied frame chain is not
-    /// stored per-field here; expose the epoch-lag a caller computes
-    /// against a writer epoch.
-    pub fn lag_from(&self, writer_epoch: u64) -> u64 {
-        writer_epoch.saturating_sub(self.epoch)
-    }
+/// Decodes a baseline's embedded index set (every fingerprint verified) and
+/// adopts it against `owned`. A sharded writer's set partitions the catalog
+/// per shard; a replica keeps one full-catalog index per group, so only an
+/// unsharded (single-partition) set is structurally adoptable.
+fn adopt_set(dim: usize, owned: Vec<Vec<NodeId>>, bytes: &[u8]) -> Result<GroupIndexes, String> {
+    let (sets, _stamps) = decode_index_set(bytes).map_err(|e| e.to_string())?;
+    let [set] = <[_; 1]>::try_from(sets).map_err(|sets: Vec<_>| {
+        let n = sets.len();
+        format!("index set has {n} partition(s), a replica holds one")
+    })?;
+    GroupIndexes::adopt(dim, owned, set)
 }
 
 /// Scans `buf` from `from` for the next frame magic (either kind).

@@ -339,6 +339,26 @@ fn get<T: std::str::FromStr>(
     }
 }
 
+/// The `--ann` flags `serve` and `replica` share. Without `--ann`, any of
+/// them — or of `also`, the command's own flags that only mean something
+/// with it — is an error naming the flag.
+fn ann_params(flags: &HashMap<String, String>, also: &[&str]) -> Result<Option<AnnParams>, String> {
+    if !flags.contains_key("ann") {
+        let mut stray = ["ef-search", "ef-margin"].iter().chain(also);
+        return match stray.find(|f| flags.contains_key(**f)) {
+            Some(f) => Err(format!("--{f} needs --ann")),
+            None => Ok(None),
+        };
+    }
+    let defaults = AnnParams::default();
+    Ok(Some(AnnParams {
+        ef_search: get(flags, "ef-search", defaults.ef_search)?,
+        ef_margin: get(flags, "ef-margin", defaults.ef_margin)?,
+        seed: get(flags, "seed", defaults.seed)?,
+        ..defaults
+    }))
+}
+
 fn require<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, String> {
     flags
         .get(name)
@@ -761,30 +781,20 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
             };
             let model = build_model(&d, &flags)?;
-            let ann = if flags.contains_key("ann") {
-                let defaults = AnnOptions::default();
-                Some(AnnOptions {
-                    ef_search: get(&flags, "ef-search", defaults.ef_search)?,
-                    ef_margin: get(&flags, "ef-margin", defaults.ef_margin)?,
-                    guard_every: get(&flags, "guard-every", defaults.guard_every)?,
-                    min_recall: get(&flags, "min-recall", defaults.min_recall)?,
-                    auto_tune: flags.contains_key("ann-auto-tune"),
-                    seed: get(&flags, "seed", defaults.seed)?,
-                    ..defaults
-                })
-            } else {
-                for f in [
-                    "ef-search",
-                    "ef-margin",
-                    "guard-every",
-                    "min-recall",
-                    "ann-auto-tune",
-                ] {
-                    if flags.contains_key(f) {
-                        return Err(format!("--{f} needs --ann"));
-                    }
+            let ann = match ann_params(&flags, &["guard-every", "min-recall", "ann-auto-tune"])? {
+                Some(p) => {
+                    let defaults = AnnOptions::default();
+                    Some(AnnOptions {
+                        ef_search: p.ef_search,
+                        ef_margin: p.ef_margin,
+                        guard_every: get(&flags, "guard-every", defaults.guard_every)?,
+                        min_recall: get(&flags, "min-recall", defaults.min_recall)?,
+                        auto_tune: flags.contains_key("ann-auto-tune"),
+                        seed: p.seed,
+                        ..defaults
+                    })
                 }
-                None
+                None => None,
             };
             let shed_policy: ShedPolicy = flags
                 .get("shed-policy")
@@ -877,22 +887,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 return Err("replica needs exactly one of --connect or --segment".into());
             }
             let d = load_dataset(&flags)?;
-            let ann = if flags.contains_key("ann") {
-                let defaults = AnnParams::default();
-                Some(AnnParams {
-                    ef_search: get(&flags, "ef-search", defaults.ef_search)?,
-                    ef_margin: get(&flags, "ef-margin", defaults.ef_margin)?,
-                    seed: get(&flags, "seed", defaults.seed)?,
-                    ..defaults
-                })
-            } else {
-                for f in ["ef-search", "ef-margin"] {
-                    if flags.contains_key(f) {
-                        return Err(format!("--{f} needs --ann"));
-                    }
-                }
-                None
-            };
+            let ann = ann_params(&flags, &[])?;
             let top: usize = get(&flags, "top", 10)?;
             let seed: u64 = get(&flags, "seed", 7u64)?;
             let mut replica = Replica::new(d.prototype.clone(), ann);
@@ -934,7 +929,8 @@ fn run(args: &[String]) -> Result<(), String> {
 
             println!(
                 "replica: epoch {}, {} baselines + {} deltas applied ({} B), \
-                 {} events appended, {} crc failures, {} gaps, {} resyncs, {} torn tail",
+                 {} events appended, {} crc failures, {} gaps, {} resyncs, {} torn tail, \
+                 {} index adoptions, {} index rebuilds",
                 replica.epoch(),
                 c.baselines_applied,
                 c.deltas_applied,
@@ -944,6 +940,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 c.gaps,
                 c.resyncs,
                 c.torn_tail,
+                c.index_adoptions,
+                c.index_rebuilds,
             );
             println!("{report}");
             // The writer's probe digest scores the probe mix directly

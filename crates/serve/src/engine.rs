@@ -29,6 +29,12 @@
 //! - **Verification**: the last [`ServeConfig::keep_history`] snapshots are
 //!   retained so a result claiming epoch `e` can be re-scored against the
 //!   actual epoch-`e` tables and compared bit-for-bit.
+//! - **Retrieval** — which items are candidates, which index answers a
+//!   relation, how wide the beam is and how survivors are re-scored — is not
+//!   decided here: queries, `verify` and the recall guard all call
+//!   `supa_replica::retrieval`, the code every replica runs too. The
+//!   writer-side index masters, the per-epoch freeze and the recall
+//!   auto-tuner live in `crate::ann`.
 //!
 //! # Sharding ([`ServeConfig::shards`])
 //!
@@ -58,35 +64,27 @@ use std::time::{Duration, Instant};
 use crossbeam::channel;
 use parking_lot::{Mutex, RwLock};
 use supa::{CheckpointManager, ServingSnapshot, Supa, TrainOptions};
-use supa_ann::{AnnConfig, HnswIndex, SearchScratch};
-use supa_eval::{top_k_scored_with, RecallAccumulator, TopKScratch};
+use supa_eval::RecallAccumulator;
 use supa_graph::{
     Dmhg, EventPriority, NodeId, QuarantineError, QuarantinePolicy, QuarantineReport, RelationId,
     StreamGuard, TemporalEdge,
 };
 
 use supa::delta::GuardState;
-use supa_replica::{DeltaPublisher, PublishOptions};
+use supa_replica::retrieval::{retrieve, Catalog, GroupIndexes, Scratch};
+use supa_replica::{AnnParams, DeltaPublisher, PublishOptions};
 
 use crate::admission::{AdmissionCtl, AdmissionOptions, DegradeLevel, ShedPolicy};
+pub use crate::ann::AnnEpoch;
+use crate::ann::AnnMaster;
 use crate::cache::QueryCache;
 use crate::metrics::{MetricsReport, ServeMetrics};
 
 thread_local! {
-    /// Per-reader top-K buffers for the query and verify paths.
-    static TOPK_SCRATCH: std::cell::RefCell<TopKScratch> =
-        std::cell::RefCell::new(TopKScratch::default());
-    /// Per-reader ANN buffers: the user's composite query vector, the beam
-    /// search scratch, and the candidate list handed to exact re-scoring.
-    static ANN_SCRATCH: std::cell::RefCell<AnnReaderScratch> =
-        std::cell::RefCell::new(AnnReaderScratch::default());
-}
-
-#[derive(Default)]
-struct AnnReaderScratch {
-    query: Vec<f32>,
-    search: SearchScratch,
-    cand: Vec<NodeId>,
+    /// Per-reader retrieval buffers for the query and verify paths:
+    /// concurrent readers each keep their own, so scoring allocates nothing
+    /// once warm and readers never serialise on a shared buffer.
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
 }
 
 /// Checkpointing behaviour for a serving engine (all via PR 1's
@@ -165,25 +163,31 @@ pub struct AnnOptions {
 }
 
 impl Default for AnnOptions {
+    /// The shared [`AnnParams`] defaults (so a default writer and a default
+    /// replica agree by construction) plus the guard's own.
     fn default() -> Self {
+        let p = AnnParams::default();
         AnnOptions {
-            ef_search: 64,
-            ef_margin: 32,
-            m: 16,
-            ef_construction: 128,
+            ef_search: p.ef_search,
+            ef_margin: p.ef_margin,
+            m: p.m,
+            ef_construction: p.ef_construction,
             guard_every: 64,
             min_recall: 0.95,
             auto_tune: false,
-            seed: 7,
+            seed: p.seed,
         }
     }
 }
 
 impl AnnOptions {
-    fn config(&self) -> AnnConfig {
-        AnnConfig {
+    /// The part of the options a replica must mirror.
+    pub(crate) fn params(&self) -> AnnParams {
+        AnnParams {
             m: self.m,
             ef_construction: self.ef_construction,
+            ef_search: self.ef_search,
+            ef_margin: self.ef_margin,
             seed: self.seed,
         }
     }
@@ -283,364 +287,6 @@ pub struct EpochSnapshot {
     pub ann: Option<Arc<AnnEpoch>>,
 }
 
-/// The shared-base ANN indexes of one published epoch, shard-major:
-/// `indexes[shard][group]`, where a *group* is a set of relations whose
-/// edges land on the same destination node type
-/// ([`supa_graph::GraphSchema::dst_type_groups`]). Relations in one group
-/// have identical candidate sets, and the indexed base vectors
-/// (`h_long + h_short`) carry no relation term — so one index serves every
-/// relation of the group, cutting index memory and refresh work by the
-/// group size. Unsharded epochs have exactly one shard holding the full
-/// per-group indexes.
-#[derive(Debug)]
-pub struct AnnEpoch {
-    indexes: Vec<Vec<Option<HnswIndex>>>,
-    /// Relation → group: which shared index answers each relation.
-    group_of: Vec<usize>,
-    /// The effective query beam width when this epoch was published. Epochs
-    /// stamp the values in force so a query (and any later `verify` replay)
-    /// is a pure function of the epoch it hits, even while the auto-tuner
-    /// moves the live values between epochs.
-    ef_search: usize,
-    /// The effective beam margin at publication (see [`AnnOptions::ef_margin`]).
-    ef_margin: usize,
-}
-
-impl AnnEpoch {
-    /// Shard 0's shared-base index answering `rel` (`None` when that shard
-    /// owns no candidates of the relation's group). On an unsharded epoch
-    /// this is *the* index over the full catalog; sharded readers use
-    /// [`AnnEpoch::shard_indexes`] to query every shard's partition.
-    /// Relations with the same destination type return the *same* index.
-    pub fn index(&self, rel: RelationId) -> Option<&HnswIndex> {
-        let g = *self.group_of.get(rel.index())?;
-        self.indexes
-            .first()
-            .and_then(|shard| shard.get(g))
-            .and_then(Option::as_ref)
-    }
-
-    /// Every shard's index answering `rel`, in shard order (shards owning no
-    /// candidates of the relation's group are skipped). The shards partition
-    /// the catalog, so the yielded indexes cover disjoint item sets.
-    pub fn shard_indexes(&self, rel: RelationId) -> impl Iterator<Item = &HnswIndex> {
-        let g = self.group_of.get(rel.index()).copied();
-        self.indexes
-            .iter()
-            .filter_map(move |shard| shard.get(g?).and_then(Option::as_ref))
-    }
-
-    /// The effective `ef_search` stamped at publication.
-    pub fn ef_search(&self) -> usize {
-        self.ef_search
-    }
-
-    /// The effective `ef_margin` stamped at publication.
-    pub fn ef_margin(&self) -> usize {
-        self.ef_margin
-    }
-
-    /// Whether any shard holds an index answering `rel`.
-    fn has_index(&self, rel: RelationId) -> bool {
-        self.shard_indexes(rel).next().is_some()
-    }
-}
-
-/// One shard's writer-owned master indexes: one shared-base HNSW index per
-/// destination-type group over the candidate items *this shard owns*
-/// (`shard_of(item) == shard`), together with the owned candidate lists
-/// used to filter refreshes.
-struct ShardAnn {
-    config: AnnConfig,
-    indexes: Vec<Option<HnswIndex>>,
-    owned: Vec<Vec<NodeId>>,
-    buf: Vec<f32>,
-    /// Batched-refresh staging: the touched ∩ owned ids of one group and
-    /// their base vectors, handed to `HnswIndex::update_batch` in one call
-    /// so the whole batch is unlinked first and re-linked with amortized
-    /// hole repair.
-    batch_ids: Vec<u32>,
-    batch_rows: Vec<f32>,
-}
-
-impl ShardAnn {
-    /// Builds this shard's per-group indexes over its owned slice of every
-    /// group's candidate list in ascending-id order, indexing the
-    /// relation-independent base vectors. With one shard the owned lists
-    /// are the full (sorted, deduplicated) candidate lists, so the build is
-    /// identical to the unsharded engine's.
-    fn build(config: AnnConfig, scorer: &ServingSnapshot, owned: Vec<Vec<NodeId>>) -> ShardAnn {
-        let mut shard = ShardAnn {
-            config,
-            indexes: Vec::with_capacity(owned.len()),
-            owned,
-            buf: Vec::new(),
-            batch_ids: Vec::new(),
-            batch_rows: Vec::new(),
-        };
-        for g in 0..shard.owned.len() {
-            if shard.owned[g].is_empty() {
-                shard.indexes.push(None);
-                continue;
-            }
-            let mut index = HnswIndex::new(scorer.dim(), shard.config.clone());
-            for i in 0..shard.owned[g].len() {
-                let item = shard.owned[g][i];
-                scorer.base_into(item, &mut shard.buf);
-                index.insert(item.0, &shard.buf);
-            }
-            shard.indexes.push(Some(index));
-        }
-        shard
-    }
-
-    /// Re-inserts every touched *owned* candidate item with its new base
-    /// vector, one `update_batch` per group. Both the touched set and the
-    /// owned lists are ascending, so the staged batch is ascending — the
-    /// batch protocol's requirement — and the refreshed index is
-    /// deterministic; shards own disjoint items, so concurrent per-shard
-    /// refreshes touch disjoint indexes. Returns how many (id, group)
-    /// entries were refreshed.
-    fn refresh(&mut self, scorer: &ServingSnapshot, touched: &[u32]) -> usize {
-        let mut refreshed = 0;
-        for (g, index) in self.indexes.iter_mut().enumerate() {
-            let Some(index) = index else { continue };
-            let owned = &self.owned[g];
-            self.batch_ids.clear();
-            self.batch_rows.clear();
-            for &id in touched {
-                if owned.binary_search(&NodeId(id)).is_ok() {
-                    scorer.base_into(NodeId(id), &mut self.buf);
-                    self.batch_ids.push(id);
-                    self.batch_rows.extend_from_slice(&self.buf);
-                }
-            }
-            if !self.batch_ids.is_empty() {
-                index.update_batch(&self.batch_ids, &self.batch_rows);
-                refreshed += self.batch_ids.len();
-            }
-        }
-        refreshed
-    }
-}
-
-/// Writer-owned master copies of the per-shard, per-group indexes.
-/// Between epochs only the nodes the training interval touched are
-/// re-inserted; `freeze` then clones the masters into an immutable
-/// [`AnnEpoch`] for publication. Also owns the *effective* beam widths
-/// (the configured values, possibly moved by the auto-tuner) that get
-/// stamped into each published epoch.
-struct AnnMaster {
-    shards: Vec<ShardAnn>,
-    group_of: Vec<usize>,
-    ef_search: usize,
-    ef_margin: usize,
-    tuner: Option<AnnTuner>,
-}
-
-impl AnnMaster {
-    /// Builds `shards` per-shard index sets partitioning every group's
-    /// candidate list by owning shard.
-    fn build(
-        opts: &AnnOptions,
-        scorer: &ServingSnapshot,
-        group_candidates: &[Vec<NodeId>],
-        group_of: Vec<usize>,
-        shards: usize,
-    ) -> AnnMaster {
-        let n = shards.max(1);
-        let config = opts.config();
-        let shards = (0..n)
-            .map(|s| {
-                let owned = Self::owned_groups(group_candidates, n, s);
-                ShardAnn::build(config.clone(), scorer, owned)
-            })
-            .collect();
-        AnnMaster {
-            shards,
-            group_of,
-            ef_search: opts.ef_search,
-            ef_margin: opts.ef_margin,
-            tuner: opts.auto_tune.then(|| AnnTuner::new(opts)),
-        }
-    }
-
-    /// The slice of every group's candidate list owned by shard `s`.
-    fn owned_groups(group_candidates: &[Vec<NodeId>], n: usize, s: usize) -> Vec<Vec<NodeId>> {
-        group_candidates
-            .iter()
-            .map(|cands| {
-                cands
-                    .iter()
-                    .copied()
-                    .filter(|c| supa_par::shard_of(c.0, n) == s)
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Serializes every shard's index set (with the effective beam widths as
-    /// stamps) for the checkpoint's opaque index section.
-    fn to_bytes(&self) -> Vec<u8> {
-        let sets: Vec<Vec<Option<HnswIndex>>> =
-            self.shards.iter().map(|s| s.indexes.clone()).collect();
-        supa_ann::encode_index_set(&sets, [self.ef_search as u64, self.ef_margin as u64])
-    }
-
-    /// Reconstructs the master from a checkpoint's index section instead of
-    /// rebuilding, after validating that the persisted layout matches what
-    /// this engine would build: same shard count, same group count, and per
-    /// (shard, group) the same item count with presence matching the owned
-    /// candidate lists. Every inner index already had its fingerprint
-    /// verified during decode, so a restored master is bit-identical to the
-    /// one that was saved. Any mismatch is a named error — the caller falls
-    /// back to a rebuild, never to silently wrong indexes.
-    fn restore(
-        opts: &AnnOptions,
-        scorer: &ServingSnapshot,
-        group_candidates: &[Vec<NodeId>],
-        group_of: Vec<usize>,
-        shards: usize,
-        bytes: &[u8],
-    ) -> Result<AnnMaster, String> {
-        let n = shards.max(1);
-        let (sets, stamps) = supa_ann::decode_index_set(bytes).map_err(|e| e.to_string())?;
-        if sets.len() != n {
-            return Err(format!(
-                "checkpoint index set has {} shard(s), engine runs {n}",
-                sets.len()
-            ));
-        }
-        let config = opts.config();
-        let mut built = Vec::with_capacity(n);
-        for (s, set) in sets.into_iter().enumerate() {
-            let owned = Self::owned_groups(group_candidates, n, s);
-            if set.len() != owned.len() {
-                return Err(format!(
-                    "checkpoint index set has {} group(s), schema derives {}",
-                    set.len(),
-                    owned.len()
-                ));
-            }
-            for (g, (index, own)) in set.iter().zip(&owned).enumerate() {
-                match index {
-                    Some(ix) => {
-                        if ix.dim() != scorer.dim() {
-                            return Err(format!(
-                                "shard {s} group {g}: index dim {} != model dim {}",
-                                ix.dim(),
-                                scorer.dim()
-                            ));
-                        }
-                        if ix.len() != own.len() {
-                            return Err(format!(
-                                "shard {s} group {g}: index holds {} item(s), candidate set has {}",
-                                ix.len(),
-                                own.len()
-                            ));
-                        }
-                    }
-                    None => {
-                        if !own.is_empty() {
-                            return Err(format!(
-                                "shard {s} group {g}: index missing for {} candidate(s)",
-                                own.len()
-                            ));
-                        }
-                    }
-                }
-            }
-            built.push(ShardAnn {
-                config: config.clone(),
-                indexes: set,
-                owned,
-                buf: Vec::new(),
-                batch_ids: Vec::new(),
-                batch_rows: Vec::new(),
-            });
-        }
-        // An auto-tuned engine resumes where the tuner left off (the stamps
-        // carry the effective widths, floored at the configured base); a
-        // static configuration ignores the stamps so behaviour stays exactly
-        // the configured one.
-        let (ef_search, ef_margin) = if opts.auto_tune {
-            (
-                (stamps[0] as usize).max(opts.ef_search),
-                (stamps[1] as usize).max(opts.ef_margin),
-            )
-        } else {
-            (opts.ef_search, opts.ef_margin)
-        };
-        Ok(AnnMaster {
-            shards: built,
-            group_of,
-            ef_search,
-            ef_margin,
-            tuner: opts.auto_tune.then(|| AnnTuner::new(opts)),
-        })
-    }
-
-    /// Freezes the current masters into a publishable epoch.
-    fn freeze(&self) -> Arc<AnnEpoch> {
-        Arc::new(AnnEpoch {
-            indexes: self.shards.iter().map(|s| s.indexes.clone()).collect(),
-            group_of: self.group_of.clone(),
-            ef_search: self.ef_search,
-            ef_margin: self.ef_margin,
-        })
-    }
-}
-
-/// Writer-side hysteresis for the effective beam widths, driven by the
-/// recall guard's counters (accumulated by readers, read at each publish).
-///
-/// - **Up**: an interval with at least [`TUNE_MIN_CHECKS`] guard checks and
-///   interval recall below the floor widens both `ef_search` and
-///   `ef_margin` by ~1.5× (capped at [`TUNE_MAX_SCALE`]× the configured
-///   base).
-/// - **Down**: [`TUNE_CALM_INTERVALS`] consecutive qualifying intervals
-///   with recall at least [`TUNE_HEADROOM`] above the floor step both
-///   widths a quarter of the way back toward the configured base (never
-///   below it).
-///
-/// Intervals with fewer than [`TUNE_MIN_CHECKS`] fresh checks are skipped
-/// without consuming the counters, so sparse guard traffic accumulates
-/// until a judgement is statistically worth making.
-struct AnnTuner {
-    base_ef: usize,
-    base_margin: usize,
-    min_recall: f64,
-    seen_checks: u64,
-    seen_expected: u64,
-    seen_matched: u64,
-    calm: u32,
-}
-
-/// Minimum fresh guard checks before the tuner judges an interval.
-const TUNE_MIN_CHECKS: u64 = 4;
-/// Recall headroom above the floor that counts as a calm interval.
-const TUNE_HEADROOM: f64 = 0.02;
-/// Consecutive calm intervals before stepping the widths back down.
-const TUNE_CALM_INTERVALS: u32 = 3;
-/// Cap on the widths: this multiple of the configured base.
-const TUNE_MAX_SCALE: usize = 8;
-/// Smallest widening step, so tiny configured widths still move.
-const TUNE_MIN_STEP: usize = 8;
-
-impl AnnTuner {
-    fn new(opts: &AnnOptions) -> AnnTuner {
-        AnnTuner {
-            base_ef: opts.ef_search,
-            base_margin: opts.ef_margin,
-            min_recall: opts.min_recall,
-            seen_checks: 0,
-            seen_expected: 0,
-            seen_matched: 0,
-            calm: 0,
-        }
-    }
-}
-
 /// Writer-exit codes for [`Shared::closed`]. `OPEN` means the writer is
 /// (as far as anyone knows) still consuming.
 const OPEN: u8 = 0;
@@ -673,11 +319,9 @@ struct Shared {
     /// drop-oldest producer evicting it — uncounts it. This is the occupancy
     /// each shard's ladder observes.
     in_flight: Vec<AtomicUsize>,
-    /// Per-relation candidate item lists (all nodes of the relation's
-    /// destination type), ascending and duplicate-free. The node universe is
-    /// fixed at start — the guard rejects events naming unknown nodes — so
-    /// these never change.
-    candidates: Vec<Vec<NodeId>>,
+    /// The candidate layout. The node universe is fixed at start — the
+    /// guard rejects events naming unknown nodes — so it never changes.
+    catalog: Catalog,
     /// ANN serving configuration (readers need `ef_search` and the guard
     /// cadence); `None` when serving exactly.
     ann_opts: Option<AnnOptions>,
@@ -957,56 +601,17 @@ impl ServeEngine {
             manager = Some(mgr);
         }
 
-        let candidates: Vec<Vec<NodeId>> = (0..graph.schema().num_relations())
-            .map(|r| {
-                let spec = graph.schema().relation(RelationId(r as u16)).unwrap();
-                let mut list = graph.nodes_of_type(spec.dst_type).to_vec();
-                let before = list.len();
-                list.sort_unstable();
-                list.dedup();
-                // The graph hands out each node of a type exactly once; a
-                // duplicate here would double-score (and double-index) an
-                // item, so treat it as the logic bug it is.
-                assert_eq!(
-                    list.len(),
-                    before,
-                    "duplicate candidate items for relation {r}"
-                );
-                list
-            })
-            .collect();
-
+        let catalog = Catalog::new(&graph);
         let scorer = model.export_serving_snapshot();
-        // Shared-base layout: relations grouped by destination type share
-        // one candidate set and one base index. The grouping is a pure
-        // function of the schema, so the writer, its replicas, and a resumed
-        // process all derive the identical layout.
-        let (group_of, num_groups) = graph.schema().dst_type_groups();
-        let mut group_candidates: Vec<Vec<NodeId>> = vec![Vec::new(); num_groups];
-        {
-            let mut filled = vec![false; num_groups];
-            for (r, &g) in group_of.iter().enumerate() {
-                if !filled[g] {
-                    group_candidates[g] = candidates[r].clone();
-                    filled[g] = true;
-                }
-            }
-        }
         let ann_master = cfg.ann.as_ref().map(|opts| {
             if let Some(bytes) = resume_index.as_deref() {
-                match AnnMaster::restore(
-                    opts,
-                    &scorer,
-                    &group_candidates,
-                    group_of.clone(),
-                    cfg.shards,
-                    bytes,
-                ) {
+                match AnnMaster::restore(opts, &scorer, &catalog, cfg.shards, bytes) {
                     Ok(master) => {
                         eprintln!(
                             "supa-serve: ann indexes restored from checkpoint \
-                             ({} shard(s) x {num_groups} group(s), fingerprints verified)",
-                            cfg.shards
+                             ({} shard(s) x {} group(s), fingerprints verified)",
+                            cfg.shards,
+                            catalog.groups().len()
                         );
                         return master;
                     }
@@ -1020,13 +625,7 @@ impl ServeEngine {
             } else if resumed {
                 eprintln!("supa-serve: checkpoint carries no ann index; rebuilding indexes");
             }
-            AnnMaster::build(
-                opts,
-                &scorer,
-                &group_candidates,
-                group_of.clone(),
-                cfg.shards,
-            )
+            AnnMaster::build(opts, &scorer, &catalog, cfg.shards)
         });
         let initial = Arc::new(EpochSnapshot {
             epoch: 0,
@@ -1069,7 +668,7 @@ impl ServeEngine {
             metrics: (0..cfg.shards).map(|_| ServeMetrics::default()).collect(),
             shards: cfg.shards,
             in_flight: (0..cfg.shards).map(|_| AtomicUsize::new(0)).collect(),
-            candidates,
+            catalog,
             ann_opts: cfg.ann.clone(),
             admission,
             closed: AtomicU8::new(OPEN),
@@ -1491,71 +1090,6 @@ impl Writer {
         }
     }
 
-    /// Runs the auto-tuner (when enabled) against the guard counters that
-    /// accumulated since its last qualifying interval. See [`AnnTuner`].
-    fn tune_ann(&mut self) {
-        use std::sync::atomic::Ordering::Relaxed;
-        let Some(master) = &mut self.ann else { return };
-        let Some(tuner) = &mut master.tuner else {
-            return;
-        };
-        let mut checks = 0u64;
-        let mut expected = 0u64;
-        let mut matched = 0u64;
-        for m in &self.shared.metrics {
-            checks += m.ann_guard_checks.load(Relaxed);
-            expected += m.ann_guard_expected.load(Relaxed);
-            matched += m.ann_guard_matched.load(Relaxed);
-        }
-        let d_checks = checks.saturating_sub(tuner.seen_checks);
-        if d_checks < TUNE_MIN_CHECKS {
-            // Not enough fresh evidence; leave the counters unconsumed so
-            // sparse guard traffic accumulates toward the threshold.
-            return;
-        }
-        let d_expected = expected.saturating_sub(tuner.seen_expected);
-        let d_matched = matched.saturating_sub(tuner.seen_matched);
-        tuner.seen_checks = checks;
-        tuner.seen_expected = expected;
-        tuner.seen_matched = matched;
-        let recall = if d_expected == 0 {
-            1.0
-        } else {
-            d_matched as f64 / d_expected as f64
-        };
-        if recall < tuner.min_recall {
-            tuner.calm = 0;
-            let cap_ef = tuner.base_ef.saturating_mul(TUNE_MAX_SCALE);
-            let cap_margin = tuner
-                .base_margin
-                .max(TUNE_MIN_STEP)
-                .saturating_mul(TUNE_MAX_SCALE);
-            master.ef_search =
-                (master.ef_search + (master.ef_search / 2).max(TUNE_MIN_STEP)).min(cap_ef);
-            master.ef_margin =
-                (master.ef_margin + (master.ef_margin / 2).max(TUNE_MIN_STEP)).min(cap_margin);
-        } else if recall >= tuner.min_recall + TUNE_HEADROOM {
-            tuner.calm += 1;
-            if tuner.calm >= TUNE_CALM_INTERVALS {
-                tuner.calm = 0;
-                // A quarter of the way back toward base, always at least one
-                // step so the walk terminates at base instead of stalling
-                // just above it.
-                let step_down = |cur: usize, base: usize| {
-                    if cur > base {
-                        (cur - ((cur - base) / 4).max(1)).max(base)
-                    } else {
-                        base
-                    }
-                };
-                master.ef_search = step_down(master.ef_search, tuner.base_ef);
-                master.ef_margin = step_down(master.ef_margin, tuner.base_margin);
-            }
-        } else {
-            tuner.calm = 0;
-        }
-    }
-
     /// Phase 1 of the epoch barrier: every shard refreshes its ANN partition
     /// to the common epoch number. Shards own disjoint item ids, so the
     /// per-shard refreshes are independent — they run on scoped threads when
@@ -1583,7 +1117,7 @@ impl Writer {
             }
             return (None, 0);
         };
-        let shard_task = |s: usize, sa: &mut ShardAnn| -> usize {
+        let shard_task = |s: usize, sa: &mut GroupIndexes| -> usize {
             if seam == Some(s) {
                 panic!("injected shard fault: shard {s} failed during epoch {epoch} publication");
             }
@@ -1641,7 +1175,9 @@ impl Writer {
             touched.sort_unstable();
             touched.dedup();
         }
-        self.tune_ann();
+        if let Some(master) = &mut self.ann {
+            master.tune(&self.shared.metrics);
+        }
         let phase1_start = Instant::now();
         let (ann, refreshed) = self.publish_phase1(&scorer, &touched);
         if let Some(master) = &self.ann {
@@ -1703,81 +1239,35 @@ impl Writer {
 }
 
 impl Shared {
-    /// Scores `user` against `rel`'s candidates under `snap`, through the
-    /// snapshot's ANN index when one applies and exact brute force otherwise.
-    /// Returns the ranked items plus whether the ANN path answered. A pure
-    /// function of `snap` — identical inputs give bit-identical results,
-    /// which is what lets `verify` re-run it against historical epochs.
-    ///
-    /// The ANN arm beam-searches `ef_search` candidates and re-scores every
-    /// survivor exactly via the same `top_k_scored_with` the brute-force path
-    /// uses, so scores (and tie-breaks) are bit-identical to brute force;
-    /// only top-K *membership* can differ.
-    fn score_snapshot(
+    /// Scores `user` against `rel`'s candidates under `snap` by the shared
+    /// rule ([`retrieve`]) and returns the ranked items plus whether the ANN
+    /// arm answered; `ann = None` is always the exact scan (exact serving,
+    /// and the recall guard's ground truth). A pure function of `snap`,
+    /// which is what lets `verify` re-run it against historical epochs: the
+    /// beam uses the epoch's *stamped* widths, not the live options, so an
+    /// old epoch replays its exact beam even after the auto-tuner moved on.
+    fn score(
         &self,
         snap: &EpochSnapshot,
+        ann: Option<&AnnEpoch>,
         user: NodeId,
         rel: RelationId,
         k: usize,
     ) -> (Vec<(NodeId, f32)>, bool) {
-        let candidates = self
-            .candidates
-            .get(rel.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        if let Some(ann) = snap.ann.as_deref() {
-            // The epoch's *stamped* widths, not the live options: queries
-            // against a historical epoch replay its exact beam even after
-            // the auto-tuner has moved the current values. The margin buys
-            // back the candidate-side context term the shared-base ranking
-            // omits — the widened beam is re-scored exactly below.
-            let ef = ann.ef_search.max(k).saturating_add(ann.ef_margin);
-            // The index only pays off when the beam is narrower than the
-            // catalog; tiny catalogs (and k covering everything) fall back
-            // to the exact scan.
-            if k > 0 && ef < candidates.len() && ann.has_index(rel) {
-                let items = ANN_SCRATCH.with(|s| {
-                    let s = &mut *s.borrow_mut();
-                    snap.scorer.composite_into(user, rel, &mut s.query);
-                    s.cand.clear();
-                    // Shards partition the catalog, so the per-shard beams
-                    // return disjoint candidate sets: concatenate and
-                    // re-score exactly — no dedup needed, and with one shard
-                    // this is exactly the unsharded retrieval.
-                    for index in ann.shard_indexes(rel) {
-                        let found = index.search_into(&s.query, ef, ef, &mut s.search);
-                        s.cand.extend(found.iter().map(|&id| NodeId(id)));
-                    }
-                    TOPK_SCRATCH.with(|t| {
-                        top_k_scored_with(&snap.scorer, user, &s.cand, rel, k, &mut t.borrow_mut())
-                            .to_vec()
-                    })
-                });
-                return (items, true);
-            }
-        }
-        (self.score_exact(snap, user, rel, k), false)
-    }
-
-    /// Brute-force exact top-K over the full candidate list (the guard's
-    /// ground truth and the non-ANN serving path).
-    fn score_exact(
-        &self,
-        snap: &EpochSnapshot,
-        user: NodeId,
-        rel: RelationId,
-        k: usize,
-    ) -> Vec<(NodeId, f32)> {
-        let candidates = self
-            .candidates
-            .get(rel.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        // Thread-local scratch: concurrent readers each keep their own
-        // buffers, so the scoring pass allocates nothing once warm and
-        // readers never serialise on a shared buffer.
-        TOPK_SCRATCH.with(|s| {
-            top_k_scored_with(&snap.scorer, user, candidates, rel, k, &mut s.borrow_mut()).to_vec()
+        SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            let (items, ann_used) = retrieve(
+                &snap.scorer,
+                self.catalog.candidates(rel),
+                ann.into_iter().flat_map(|a| a.shard_indexes(rel)),
+                ann.map_or(0, AnnEpoch::ef_search),
+                ann.map_or(0, AnnEpoch::ef_margin),
+                user,
+                rel,
+                k,
+                scratch,
+            );
+            (items.to_vec(), ann_used)
         })
     }
 }
@@ -1960,7 +1450,7 @@ impl ServeHandle {
     /// [`AnnOptions::guard_every`] ANN-served answers, the recall guard.
     fn score_fresh(&self, user: NodeId, rel: RelationId, k: usize, metered: bool) -> QueryResult {
         let snap = self.shared.current.read().clone();
-        let (items, ann_used) = self.shared.score_snapshot(&snap, user, rel, k);
+        let (items, ann_used) = self.shared.score(&snap, snap.ann.as_deref(), user, rel, k);
         if metered && ann_used {
             self.recall_guard(&snap, user, rel, k, &items);
         }
@@ -1994,7 +1484,7 @@ impl ServeHandle {
         if opts.guard_every == 0 || !nth.is_multiple_of(opts.guard_every) {
             return;
         }
-        let exact = self.shared.score_exact(snap, user, rel, k);
+        let (exact, _) = self.shared.score(snap, None, user, rel, k);
         let mut acc = RecallAccumulator::default();
         acc.push(&exact, items);
         m.ann_guard_checks.fetch_add(1, Relaxed);
@@ -2022,7 +1512,7 @@ impl ServeHandle {
             let h = self.shared.history.lock();
             h.iter().find(|s| s.epoch == result.epoch).cloned()?
         };
-        let (expect, _) = self.shared.score_snapshot(&snap, user, rel, k);
+        let (expect, _) = self.shared.score(&snap, snap.ann.as_deref(), user, rel, k);
         let ok = expect.len() == result.items.len()
             && expect
                 .iter()
@@ -2084,11 +1574,7 @@ impl ServeHandle {
 
     /// Candidate items for a relation (all nodes of its destination type).
     pub fn candidates(&self, rel: RelationId) -> &[NodeId] {
-        self.shared
-            .candidates
-            .get(rel.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.shared.catalog.candidates(rel)
     }
 
     /// Clean shutdown: trains the partial chunk, publishes, writes a final

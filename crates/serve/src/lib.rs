@@ -31,10 +31,12 @@
 //!   hysteresis. The default `block` policy is bit-identical to classic
 //!   backpressure.
 //! - [`engine::AnnOptions`] — optional sub-linear retrieval: each epoch
-//!   carries per-relation `supa-ann` HNSW indexes (only touched nodes are
-//!   re-inserted between epochs); queries beam-search the index, re-score
-//!   candidates exactly, and a sampling recall guard meters recall@K
-//!   against brute force without perturbing results.
+//!   carries shared-base `supa-ann` HNSW indexes, one per destination node
+//!   type (only touched nodes are re-inserted between epochs); queries
+//!   beam-search the index, re-score candidates exactly, and a sampling
+//!   recall guard meters recall@K against brute force without perturbing
+//!   results. The layout, the index upkeep and the query rule are
+//!   `supa_replica::retrieval`, shared with every replica.
 //! - [`cache::QueryCache`] — per-user result cache invalidated by the
 //!   rows each training chunk actually touched (SUPA's propagate step).
 //! - [`metrics::ServeMetrics`] — QPS, p50/p99 latency, cache hit rate,
@@ -62,6 +64,7 @@
 //! ```
 
 pub mod admission;
+mod ann;
 pub mod cache;
 pub mod engine;
 pub mod loadgen;

@@ -422,7 +422,7 @@ pub fn run_streamed_closed_loop(
                         if handle.ingest(edge).is_err() {
                             break; // writer stopped (strict-policy fault)
                         }
-                        if offered % 512 == 0 {
+                        if offered.is_multiple_of(512) {
                             source.publish(handle.ingest_metrics());
                         }
                     }

@@ -201,11 +201,7 @@ mod tests {
                 assert!(kind == "counter" || kind == "gauge", "{line}");
                 announced.insert(name.to_string());
             } else if !line.starts_with('#') {
-                let name = line
-                    .split(|c| c == '{' || c == ' ')
-                    .next()
-                    .unwrap()
-                    .to_string();
+                let name = line.split(['{', ' ']).next().unwrap().to_string();
                 assert!(announced.contains(&name), "unannounced series: {line}");
                 let value = line.rsplit(' ').next().unwrap();
                 assert!(value.parse::<f64>().unwrap().is_finite(), "{line}");

@@ -6,25 +6,12 @@
 
 use std::io::{Read, Write};
 
-use supa::{InsLearnConfig, Supa, SupaConfig};
 use supa_datasets::{save_tsv, taobao, Dataset};
 use supa_ingest::{scan_tsv, IngestOptions};
 use supa_serve::{run_closed_loop, run_streamed_closed_loop, LoadConfig, ServeConfig};
 
-fn fast_model(d: &Dataset, seed: u64) -> Supa {
-    let cfg = SupaConfig {
-        dim: 16,
-        ..SupaConfig::small()
-    };
-    Supa::from_dataset(d, cfg, seed)
-        .unwrap()
-        .with_inslearn(InsLearnConfig {
-            batch_size: 4096,
-            n_iter: 2,
-            valid_interval: 2,
-            ..InsLearnConfig::fast()
-        })
-}
+mod common;
+use common::fast_model;
 
 fn serve_cfg() -> ServeConfig {
     ServeConfig {

@@ -7,51 +7,17 @@
 
 use std::time::{Duration, Instant};
 
-use supa::{InsLearnConfig, Supa, SupaConfig};
+use supa::InsLearnConfig;
 use supa_datasets::{taobao, Dataset};
 use supa_eval::top_k_scored;
-use supa_graph::{PriorityMap, QuarantinePolicy, RelationId, StreamGuard, TemporalEdge};
+use supa_graph::{PriorityMap, QuarantinePolicy, StreamGuard, TemporalEdge};
 use supa_serve::{
     run_open_loop, AdmissionOptions, LoadConfig, OpenLoopConfig, ServeConfig, ServeEngine,
     ShedPolicy, StopCause,
 };
 
-fn fast_model(d: &Dataset, seed: u64) -> Supa {
-    let cfg = SupaConfig {
-        dim: 16,
-        ..SupaConfig::small()
-    };
-    Supa::from_dataset(d, cfg, seed)
-        .unwrap()
-        .with_inslearn(InsLearnConfig {
-            batch_size: 4096,
-            n_iter: 2,
-            valid_interval: 2,
-            ..InsLearnConfig::fast()
-        })
-}
-
-/// Query-side sample: `(user, relation)` pairs valid under the schema.
-fn query_pairs(d: &Dataset, n: usize) -> Vec<(supa_graph::NodeId, RelationId)> {
-    let schema = d.prototype.schema();
-    let mut pairs = Vec::new();
-    'outer: loop {
-        for r in 0..schema.num_relations() {
-            let rel = RelationId(r as u16);
-            let users = d
-                .prototype
-                .nodes_of_type(schema.relation(rel).unwrap().src_type);
-            if users.is_empty() {
-                continue;
-            }
-            pairs.push((users[pairs.len() % users.len()], rel));
-            if pairs.len() >= n {
-                break 'outer;
-            }
-        }
-    }
-    pairs
-}
+mod common;
+use common::{fast_model, query_pairs};
 
 /// Admission options whose detector can never trip: a huge lag allowance
 /// and default watermarks over a queue larger than the whole stream.

@@ -9,26 +9,13 @@
 use std::path::PathBuf;
 
 use supa::delta::{decode_frame, encode_baseline, Frame, GuardState, WireError};
-use supa::{InsLearnConfig, Supa, SupaConfig};
 use supa_datasets::{taobao, Dataset};
 use supa_graph::{NodeId, RelationId};
 use supa_replica::{replay_segment, run_tcp, AnnParams, PublishOptions, Replica};
 use supa_serve::{AnnOptions, ServeConfig, ServeEngine, ServeHandle};
 
-fn fast_model(d: &Dataset, seed: u64) -> Supa {
-    let cfg = SupaConfig {
-        dim: 16,
-        ..SupaConfig::small()
-    };
-    Supa::from_dataset(d, cfg, seed)
-        .unwrap()
-        .with_inslearn(InsLearnConfig {
-            batch_size: 4096,
-            n_iter: 2,
-            valid_interval: 2,
-            ..InsLearnConfig::fast()
-        })
-}
+mod common;
+use common::fast_model;
 
 /// Query-side sample: `(user, relation)` pairs valid under the schema.
 fn query_pairs(d: &Dataset, n: usize) -> Vec<(NodeId, RelationId)> {
@@ -68,6 +55,17 @@ fn serve_with_segment(
     segment: PathBuf,
     ann: Option<AnnOptions>,
 ) -> ServeHandle {
+    serve_sharded_with_segment(d, seed, segment, ann, 1)
+}
+
+/// [`serve_with_segment`] on a `shards`-way sharded writer.
+fn serve_sharded_with_segment(
+    d: &Dataset,
+    seed: u64,
+    segment: PathBuf,
+    ann: Option<AnnOptions>,
+    shards: usize,
+) -> ServeHandle {
     let handle = ServeEngine::start(
         d.prototype.clone(),
         fast_model(d, seed),
@@ -75,6 +73,7 @@ fn serve_with_segment(
             train_batch: 64,
             cache_capacity: 0,
             ann,
+            shards,
             replication: Some(PublishOptions {
                 segment: Some(segment),
                 ..PublishOptions::default()
@@ -165,28 +164,49 @@ fn segment_replay_answers_bit_identically_to_writer() {
 /// With ANN on both sides, a replica that bootstraps from the epoch-0
 /// baseline builds structurally identical indexes and mirrors the writer's
 /// per-epoch dirty refresh, so even ANN-served answers are bit-identical.
+/// A sharded writer's index set partitions the catalog per shard, which a
+/// replica (shard-topology-agnostic, one full-catalog index per group)
+/// refuses by name and rebuilds: top-K membership may then differ from the
+/// writer's, but every score is still Eq. 15 on the replicated state.
 #[test]
 fn ann_segment_replica_matches_writer_ann_answers() {
-    let d = taobao(0.02, 53);
-    let path = segment_path("ann");
-    let handle = serve_with_segment(&d, 53, path.clone(), Some(AnnOptions::default()));
+    for (shards, adoptions, rebuilds) in [(1, 1, 0), (2, 0, 1)] {
+        let d = taobao(0.02, 53);
+        let path = segment_path(&format!("ann-{shards}"));
+        let ann = Some(AnnOptions::default());
+        let handle = serve_sharded_with_segment(&d, 53, path.clone(), ann, shards);
 
-    let pairs = query_pairs(&d, 30);
-    let expect = writer_answers(&handle, &pairs, 10);
-    let report = handle.shutdown();
-    assert!(
-        report.metrics.ann_queries > 0,
-        "the writer should have served through the index"
-    );
+        let pairs = query_pairs(&d, 30);
+        let expect = writer_answers(&handle, &pairs, 10);
+        let report = handle.shutdown();
+        assert!(
+            report.metrics.ann_queries > 0,
+            "the writer should have served through the index"
+        );
 
-    let mut replica = Replica::new(d.prototype.clone(), Some(AnnParams::default()));
-    replay_segment(&path, &mut replica).unwrap();
-    // The segment head is the epoch-0 baseline, which carries the writer's
-    // serialized index set: the replica must adopt it, not rebuild.
-    assert_eq!(replica.counters.index_adoptions, 1, "epoch-0 index carry");
-    assert_eq!(replica.counters.index_rebuilds, 0);
-    assert_replica_matches(&mut replica, &pairs, 10, &expect);
-    let _ = std::fs::remove_file(&path);
+        let mut replica = Replica::new(d.prototype.clone(), Some(AnnParams::default()));
+        replay_segment(&path, &mut replica).unwrap();
+        // The segment head is the epoch-0 baseline, which carries the
+        // writer's serialized index set: an unsharded one must be adopted,
+        // not rebuilt.
+        let c = replica.counters;
+        assert_eq!(c.index_adoptions, adoptions, "shards {shards}: index carry");
+        assert_eq!(c.index_rebuilds, rebuilds, "shards {shards}");
+        if shards == 1 {
+            assert_replica_matches(&mut replica, &pairs, 10, &expect);
+        } else {
+            for (&(user, rel), want) in pairs.iter().zip(&expect) {
+                let got = replica.query(user, rel, 10);
+                let snap = replica.snapshot().unwrap();
+                let exact = |v: NodeId, bits: u32| snap.gamma(user, v, rel).to_bits() == bits;
+                assert_eq!(got.len(), 10);
+                assert!(got.iter().all(|&(v, s)| exact(v, s.to_bits())));
+                // Same state as the writer: its scores are the replica's.
+                assert!(want.iter().all(|&(v, bits)| exact(v, bits)));
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 /// A replica tailing the TCP stream (attached mid-stream, so bootstrapped

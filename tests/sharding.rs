@@ -8,49 +8,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use supa::{InsLearnConfig, Supa, SupaConfig};
-use supa_datasets::{taobao, Dataset};
+use supa::InsLearnConfig;
+use supa_datasets::taobao;
 use supa_eval::top_k_scored;
-use supa_graph::{QuarantinePolicy, RelationId, StreamGuard, TemporalEdge};
+use supa_graph::{QuarantinePolicy, StreamGuard, TemporalEdge};
 use supa_serve::{run_closed_loop, ClosedCause, LoadConfig, ServeConfig, ServeEngine, StopCause};
 
-fn fast_model(d: &Dataset, seed: u64) -> Supa {
-    let cfg = SupaConfig {
-        dim: 16,
-        ..SupaConfig::small()
-    };
-    Supa::from_dataset(d, cfg, seed)
-        .unwrap()
-        .with_inslearn(InsLearnConfig {
-            batch_size: 4096,
-            n_iter: 2,
-            valid_interval: 2,
-            ..InsLearnConfig::fast()
-        })
-}
-
-/// Query-side sample: `(user, relation)` pairs that are valid under the
-/// schema, cycling over relations and their source-type nodes.
-fn query_pairs(d: &Dataset, n: usize) -> Vec<(supa_graph::NodeId, RelationId)> {
-    let schema = d.prototype.schema();
-    let mut pairs = Vec::new();
-    'outer: loop {
-        for r in 0..schema.num_relations() {
-            let rel = RelationId(r as u16);
-            let users = d
-                .prototype
-                .nodes_of_type(schema.relation(rel).unwrap().src_type);
-            if users.is_empty() {
-                continue;
-            }
-            pairs.push((users[pairs.len() % users.len()], rel));
-            if pairs.len() >= n {
-                break 'outer;
-            }
-        }
-    }
-    pairs
-}
+mod common;
+use common::{fast_model, query_pairs};
 
 /// The pinned determinism claims, mirroring the `--workers` contract:
 /// `shards = 1` is bit-identical to the unsharded default engine; every
