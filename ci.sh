@@ -123,8 +123,10 @@ fi
 # Streaming-ingestion smoke: replay one dump twice — once materialised
 # (--data), once streamed off disk (--stream-tsv) — and the probe digests
 # must be bit-identical (DESIGN.md §16 contract). The validation pass
-# (`supa ingest`) must report zero malformed lines.
-ing_stats=$(supa ingest --data "$work/ann.tsv")
+# (`supa ingest`) must report zero malformed lines. The dump rewritten in
+# the canonical dialect (`supa ingest --out`) must stream to the same
+# digest, so the writer and both readers of the one grammar agree.
+ing_stats=$(supa ingest --data "$work/ann.tsv" --out "$work/canon.tsv")
 printf '%s' "$ing_stats" | grep -q " 0 malformed" || {
   printf '%s\n' "$ing_stats" >&2
   fail "supa ingest found malformed lines in a generated dump"
@@ -133,6 +135,8 @@ mat_digest=$(supa serve --data "$work/ann.tsv" --readers 2 --queries 100 --seed 
 stream_digest=$(supa serve --stream-tsv "$work/ann.tsv" --readers 2 --queries 100 --seed 7 | digest_of)
 [ -n "$mat_digest" ] || fail "no probe digest in materialised serve output"
 same "streamed replay diverged from load_tsv" "$mat_digest" "$stream_digest"
+canon_digest=$(supa serve --stream-tsv "$work/canon.tsv" --readers 2 --queries 100 --seed 7 | digest_of)
+same "the canonical rewrite streamed to another digest" "$mat_digest" "$canon_digest"
 
 # Prometheus smoke: a streamed serve run exposing --prom-addr must answer
 # one real scrape with a supa_* text exposition; --prom-wait 1 holds the

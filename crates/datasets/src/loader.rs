@@ -13,18 +13,27 @@
 //! ```
 //!
 //! `nodetype`/`relation` lines declare the schema and must precede the nodes;
-//! `metapath` lines (optional) declare multiplex metapath schemas as an
-//! alternating `type rel[,rel…] type …` sequence; `node` lines must precede
-//! the edges that reference them and use dense, in-order ids.
+//! `metapath` lines (optional, anywhere) declare multiplex metapath schemas
+//! as an alternating `type rel[,rel…] type …` sequence; `node` lines must
+//! precede the edges that reference them and use dense, in-order ids.
+//!
+//! This module owns the grammar: [`Line::parse`] recognises a line,
+//! [`Header::apply`] takes the schema lines, [`declare_node`] the `node`
+//! lines and [`EdgeFields`] the edges. [`load_tsv`] and `supa-ingest`'s
+//! scan and replay all parse through them, so a dump that loads here
+//! streams to the same prototype and edges, and a malformed one fails the
+//! same way there.
 //!
 //! Malformed input surfaces as a [`LoadError`]: the 1-based line number plus
-//! a matchable [`LoadErrorKind`], shared by this materialising loader and by
-//! `supa-ingest`'s streaming parser so CLI exit paths and tests can match on
+//! a matchable [`LoadErrorKind`], so CLI exit paths and tests can match on
 //! the kind instead of grepping strings.
 
 use std::io::{BufRead, Write};
+use std::str::SplitWhitespace;
 
-use supa_graph::{Dmhg, GraphSchema, MetapathSchema, NodeId, RelationSet, TemporalEdge};
+use supa_graph::{
+    Dmhg, GraphSchema, MetapathSchema, NodeId, RelationId, RelationSet, TemporalEdge,
+};
 
 use crate::dataset::Dataset;
 
@@ -128,8 +137,53 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// Fails with [`LoadErrorKind::TrailingFields`] if the directive's field
-/// iterator still has tokens left after every declared field was consumed.
+/// One line of the dialect: its directive recognised and, for an `edge`
+/// line, its fields split.
+pub enum Line<'a> {
+    /// A blank line or a `#` comment.
+    Blank,
+    /// A `nodetype`, `relation` or `metapath` line, for [`Header::apply`].
+    Schema(&'a str, SplitWhitespace<'a>),
+    /// The fields of a `node ID TYPE` line, for [`declare_node`].
+    Node(SplitWhitespace<'a>),
+    /// An `edge SRC DST REL TIME` line.
+    Edge(EdgeFields<'a>),
+    /// Any other line, trimmed: an unknown directive, or a bare edge in
+    /// `supa-ingest`'s string-id modes.
+    Other(&'a str),
+}
+
+impl<'a> Line<'a> {
+    /// Classifies one line (terminator stripped or not). Fails only on an
+    /// `edge` line whose fields do not split.
+    pub fn parse(text: &'a str, lineno: usize) -> Result<Line<'a>, LoadError> {
+        let text = text.trim();
+        if text.is_empty() || text.starts_with('#') {
+            return Ok(Line::Blank);
+        }
+        let mut parts = text.split_whitespace();
+        Ok(match parts.next() {
+            Some(d @ ("nodetype" | "relation" | "metapath")) => Line::Schema(d, parts),
+            Some("node") => Line::Node(parts),
+            Some("edge") => Line::Edge(EdgeFields::split(parts, lineno)?),
+            _ => Line::Other(text),
+        })
+    }
+}
+
+/// The next field of a line, or [`LoadErrorKind::MissingField`] naming it.
+fn field<'a>(
+    parts: &mut impl Iterator<Item = &'a str>,
+    what: &'static str,
+    lineno: usize,
+) -> Result<&'a str, LoadError> {
+    parts
+        .next()
+        .ok_or_else(|| LoadError::at(lineno, LoadErrorKind::MissingField(what)))
+}
+
+/// Fails with [`LoadErrorKind::TrailingFields`] if `parts` still has tokens
+/// left after every declared field was consumed.
 fn reject_trailing<'a>(
     mut parts: impl Iterator<Item = &'a str>,
     directive: &'static str,
@@ -149,146 +203,230 @@ fn reject_trailing<'a>(
     }
 }
 
+fn unknown(what: &'static str, name: &str, lineno: usize) -> LoadError {
+    let name = name.to_string();
+    LoadError::at(lineno, LoadErrorKind::UnknownName { what, name })
+}
+
+fn bad(what: &'static str, token: &str, lineno: usize) -> LoadError {
+    let token = token.to_string();
+    LoadError::at(lineno, LoadErrorKind::BadField { what, token })
+}
+
+/// The schema a dump declares, as its `nodetype`, `relation` and `metapath`
+/// lines build it.
+#[derive(Default)]
+pub struct Header {
+    /// The node types and relations declared so far.
+    pub schema: GraphSchema,
+    /// `metapath` lines by line number, resolved once the schema is final.
+    metapath_lines: Vec<(usize, Vec<String>)>,
+}
+
+impl Header {
+    /// Applies one schema line ([`Line::Schema`]). `after_data` says a node
+    /// or edge line came first: a `nodetype` or `relation` line may not
+    /// follow one ([`LoadErrorKind::SchemaAfterNodes`]); a `metapath` line
+    /// may come anywhere, since metapaths resolve against the final schema.
+    pub fn apply<'a>(
+        &mut self,
+        directive: &str,
+        mut parts: impl Iterator<Item = &'a str>,
+        lineno: usize,
+        after_data: bool,
+    ) -> Result<(), LoadError> {
+        let err = |kind: LoadErrorKind| LoadError::at(lineno, kind);
+        match directive {
+            "metapath" => {
+                let tokens: Vec<String> = parts.map(str::to_string).collect();
+                if self.metapath_lines.iter().any(|(_, prev)| *prev == tokens) {
+                    return Err(err(LoadErrorKind::Duplicate("metapath")));
+                }
+                self.metapath_lines.push((lineno, tokens));
+            }
+            _ if after_data => return Err(err(LoadErrorKind::SchemaAfterNodes)),
+            "nodetype" => {
+                let ty = field(&mut parts, "type name", lineno)?;
+                if self.schema.node_type_by_name(ty).is_some() {
+                    return Err(err(LoadErrorKind::Duplicate("node type")));
+                }
+                reject_trailing(parts, "nodetype", lineno)?;
+                self.schema.add_node_type(ty);
+            }
+            _ => {
+                let rel = field(&mut parts, "relation name", lineno)?;
+                let src = field(&mut parts, "src type", lineno)?;
+                let dst = field(&mut parts, "dst type", lineno)?;
+                if self.schema.relation_by_name(rel).is_some() {
+                    return Err(err(LoadErrorKind::Duplicate("relation")));
+                }
+                let type_of = |what, name| {
+                    self.schema
+                        .node_type_by_name(name)
+                        .ok_or_else(|| unknown(what, name, lineno))
+                };
+                let (src, dst) = (type_of("src type", src)?, type_of("dst type", dst)?);
+                reject_trailing(parts, "relation", lineno)?;
+                self.schema.add_relation(rel, src, dst);
+            }
+        }
+        Ok(())
+    }
+
+    /// The prototype — the declared nodes `graph`, or an empty graph over
+    /// the schema when no `node` line came — and the resolved metapaths.
+    pub fn finish(self, graph: Option<Dmhg>) -> Result<(Dmhg, Vec<MetapathSchema>), LoadError> {
+        let prototype = graph.unwrap_or_else(|| Dmhg::new(self.schema));
+        let mut metapaths = Vec::new();
+        for (lineno, tokens) in self.metapath_lines {
+            metapaths.push(resolve_metapath(prototype.schema(), &tokens, lineno)?);
+        }
+        Ok((prototype, metapaths))
+    }
+}
+
+/// Declares the node of a `node ID TYPE` line ([`Line::Node`]) in `g`; the
+/// id must be the next dense id.
+pub fn declare_node<'a>(
+    g: &mut Dmhg,
+    mut parts: impl Iterator<Item = &'a str>,
+    lineno: usize,
+) -> Result<(), LoadError> {
+    let err = |kind: LoadErrorKind| LoadError::at(lineno, kind);
+    let id_tok = field(&mut parts, "node id", lineno)?;
+    let id: u32 = id_tok.parse().map_err(|_| bad("node id", id_tok, lineno))?;
+    let ty_name = field(&mut parts, "node type", lineno)?;
+    let ty = g
+        .schema()
+        .node_type_by_name(ty_name)
+        .ok_or_else(|| unknown("node type", ty_name, lineno))?;
+    let assigned = g
+        .try_add_node(ty)
+        .map_err(|e| err(LoadErrorKind::Graph(e.to_string())))?;
+    if assigned != NodeId(id) {
+        return Err(err(LoadErrorKind::NonDenseNodeId {
+            expected: assigned.0,
+            got: id,
+        }));
+    }
+    reject_trailing(parts, "node", lineno)
+}
+
+/// An edge line's four raw fields. `edge SRC DST REL TIME` and the bare
+/// `SRC DST REL TIME` spelling of `supa-ingest`'s string-id modes both
+/// split to this.
+pub struct EdgeFields<'a> {
+    /// The source endpoint as written.
+    pub src: &'a str,
+    /// The destination endpoint as written.
+    pub dst: &'a str,
+    /// The relation name as written.
+    pub rel: &'a str,
+    /// Read through [`Self::time`], which validates it.
+    time: &'a str,
+}
+
+impl<'a> EdgeFields<'a> {
+    /// Splits `SRC DST REL TIME` off `parts` (the `edge` keyword, if any,
+    /// already consumed), rejecting missing and trailing fields.
+    pub fn split(
+        mut parts: impl Iterator<Item = &'a str>,
+        lineno: usize,
+    ) -> Result<EdgeFields<'a>, LoadError> {
+        let fields = EdgeFields {
+            src: field(&mut parts, "src", lineno)?,
+            dst: field(&mut parts, "dst", lineno)?,
+            rel: field(&mut parts, "relation", lineno)?,
+            time: field(&mut parts, "timestamp", lineno)?,
+        };
+        reject_trailing(parts, "edge", lineno)?;
+        Ok(fields)
+    }
+
+    /// The relation, which `schema` must declare.
+    pub fn relation(&self, schema: &GraphSchema, lineno: usize) -> Result<RelationId, LoadError> {
+        schema
+            .relation_by_name(self.rel)
+            .ok_or_else(|| unknown("relation", self.rel, lineno))
+    }
+
+    /// The timestamp: it must parse as `f64`, be finite, and be
+    /// non-negative (the paper's `t ∈ ℝ⁺`), so NaN never reaches training.
+    pub fn time(&self, lineno: usize) -> Result<f64, LoadError> {
+        let t: f64 = self
+            .time
+            .parse()
+            .map_err(|_| bad("timestamp", self.time, lineno))?;
+        if !t.is_finite() || t < 0.0 {
+            let msg = supa_graph::GraphError::InvalidTimestamp(t).to_string();
+            return Err(LoadError::at(lineno, LoadErrorKind::Graph(msg)));
+        }
+        Ok(t)
+    }
+
+    /// The edge of the declared dialect: numeric endpoints below
+    /// `num_nodes`, a declared relation, a valid timestamp. [`Self::resolve_in`]
+    /// also checks the endpoint types.
+    pub fn resolve(
+        &self,
+        schema: &GraphSchema,
+        num_nodes: usize,
+        lineno: usize,
+    ) -> Result<TemporalEdge, LoadError> {
+        let endpoint = |tok: &str, what| tok.parse::<u32>().map_err(|_| bad(what, tok, lineno));
+        let (src, dst) = (endpoint(self.src, "src")?, endpoint(self.dst, "dst")?);
+        let rel = self.relation(schema, lineno)?;
+        let t = self.time(lineno)?;
+        for node in [src, dst] {
+            if node as usize >= num_nodes {
+                let kind = LoadErrorKind::UndeclaredEndpoint { node, num_nodes };
+                return Err(LoadError::at(lineno, kind));
+            }
+        }
+        Ok(TemporalEdge::new(NodeId(src), NodeId(dst), rel, t))
+    }
+
+    /// [`Self::resolve`] against the declared nodes of `g`, plus the check
+    /// that the endpoint types fit the relation.
+    pub fn resolve_in(&self, g: &Dmhg, lineno: usize) -> Result<TemporalEdge, LoadError> {
+        let e = self.resolve(g.schema(), g.num_nodes(), lineno)?;
+        g.schema()
+            .check_edge(e.relation, g.node_type(e.src), g.node_type(e.dst))
+            .map_err(|err| LoadError::at(lineno, LoadErrorKind::Graph(err.to_string())))?;
+        Ok(e)
+    }
+}
+
 /// Parses a self-describing dataset from TSV lines.
 ///
 /// Returns a [`LoadError`] describing the first malformed line.
 pub fn load_tsv<R: BufRead>(name: &str, reader: R) -> Result<Dataset, LoadError> {
-    let mut schema = GraphSchema::new();
+    let mut header = Header::default();
     let mut graph: Option<Dmhg> = None;
     let mut edges: Vec<TemporalEdge> = Vec::new();
-    let mut metapath_specs: Vec<(usize, Vec<String>)> = Vec::new();
-
     for (idx, line) in reader.lines().enumerate() {
         let lineno = idx + 1;
         let line = line.map_err(|e| LoadError::at(lineno, LoadErrorKind::Io(e.to_string())))?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let err = |kind: LoadErrorKind| LoadError::at(lineno, kind);
-        match parts.next() {
-            Some("nodetype") => {
-                if graph.is_some() {
-                    return Err(err(LoadErrorKind::SchemaAfterNodes));
-                }
-                let ty = parts
-                    .next()
-                    .ok_or_else(|| err(LoadErrorKind::MissingField("type name")))?;
-                if schema.node_type_by_name(ty).is_some() {
-                    return Err(err(LoadErrorKind::Duplicate("node type")));
-                }
-                schema.add_node_type(ty);
-                reject_trailing(parts, "nodetype", lineno)?;
+        match Line::parse(&line, lineno)? {
+            Line::Blank => {}
+            Line::Schema(d, parts) => header.apply(d, parts, lineno, graph.is_some())?,
+            Line::Node(parts) => {
+                let g = graph.get_or_insert_with(|| Dmhg::new(header.schema.clone()));
+                declare_node(g, parts, lineno)?;
             }
-            Some("relation") => {
-                if graph.is_some() {
-                    return Err(err(LoadErrorKind::SchemaAfterNodes));
-                }
-                let rel = parts
-                    .next()
-                    .ok_or_else(|| err(LoadErrorKind::MissingField("relation name")))?;
-                let src = parts
-                    .next()
-                    .ok_or_else(|| err(LoadErrorKind::MissingField("src type")))?;
-                let dst = parts
-                    .next()
-                    .ok_or_else(|| err(LoadErrorKind::MissingField("dst type")))?;
-                if schema.relation_by_name(rel).is_some() {
-                    return Err(err(LoadErrorKind::Duplicate("relation")));
-                }
-                let src = schema.node_type_by_name(src).ok_or_else(|| {
-                    err(LoadErrorKind::UnknownName {
-                        what: "src type",
-                        name: src.to_string(),
-                    })
-                })?;
-                let dst = schema.node_type_by_name(dst).ok_or_else(|| {
-                    err(LoadErrorKind::UnknownName {
-                        what: "dst type",
-                        name: dst.to_string(),
-                    })
-                })?;
-                let rel = rel.to_string();
-                schema.add_relation(&rel, src, dst);
-                reject_trailing(parts, "relation", lineno)?;
-            }
-            Some("metapath") => {
-                // Resolved after the schema is final.
-                let tokens: Vec<String> = parts.map(str::to_string).collect();
-                if metapath_specs.iter().any(|(_, prev)| *prev == tokens) {
-                    return Err(err(LoadErrorKind::Duplicate("metapath")));
-                }
-                metapath_specs.push((lineno, tokens));
-            }
-            Some("node") => {
-                let g = graph.get_or_insert_with(|| Dmhg::new(schema.clone()));
-                let id_tok = parts
-                    .next()
-                    .ok_or_else(|| err(LoadErrorKind::MissingField("node id")))?;
-                let id: u32 = id_tok.parse().map_err(|_| {
-                    err(LoadErrorKind::BadField {
-                        what: "node id",
-                        token: id_tok.to_string(),
-                    })
-                })?;
-                let ty_name = parts
-                    .next()
-                    .ok_or_else(|| err(LoadErrorKind::MissingField("node type")))?;
-                let ty = g.schema().node_type_by_name(ty_name).ok_or_else(|| {
-                    err(LoadErrorKind::UnknownName {
-                        what: "node type",
-                        name: ty_name.to_string(),
-                    })
-                })?;
-                let assigned = g
-                    .try_add_node(ty)
-                    .map_err(|e| err(LoadErrorKind::Graph(e.to_string())))?;
-                if assigned != NodeId(id) {
-                    return Err(err(LoadErrorKind::NonDenseNodeId {
-                        expected: assigned.0,
-                        got: id,
-                    }));
-                }
-                reject_trailing(parts, "node", lineno)?;
-            }
-            Some("edge") => {
+            Line::Edge(fields) => {
                 let g = graph
                     .as_ref()
-                    .ok_or_else(|| err(LoadErrorKind::EdgeBeforeNodes))?;
-                let src = parse_endpoint(parts.next(), "src", lineno)?;
-                let dst = parse_endpoint(parts.next(), "dst", lineno)?;
-                let rel_name = parts
-                    .next()
-                    .ok_or_else(|| err(LoadErrorKind::MissingField("relation")))?;
-                let rel = g.schema().relation_by_name(rel_name).ok_or_else(|| {
-                    err(LoadErrorKind::UnknownName {
-                        what: "relation",
-                        name: rel_name.to_string(),
-                    })
-                })?;
-                let t = parse_timestamp(parts.next(), lineno)?;
-                for endpoint in [src, dst] {
-                    if endpoint as usize >= g.num_nodes() {
-                        return Err(err(LoadErrorKind::UndeclaredEndpoint {
-                            node: endpoint,
-                            num_nodes: g.num_nodes(),
-                        }));
-                    }
-                }
-                let (ts, td) = (g.node_type(NodeId(src)), g.node_type(NodeId(dst)));
-                g.schema()
-                    .check_edge(rel, ts, td)
-                    .map_err(|e| err(LoadErrorKind::Graph(e.to_string())))?;
-                edges.push(TemporalEdge::new(NodeId(src), NodeId(dst), rel, t));
-                reject_trailing(parts, "edge", lineno)?;
+                    .ok_or_else(|| LoadError::at(lineno, LoadErrorKind::EdgeBeforeNodes))?;
+                edges.push(fields.resolve_in(g, lineno)?);
             }
-            _ => return Err(err(LoadErrorKind::UnknownDirective(line.to_string()))),
+            Line::Other(text) => {
+                let kind = LoadErrorKind::UnknownDirective(text.to_string());
+                return Err(LoadError::at(lineno, kind));
+            }
         }
     }
-
-    let prototype = graph.unwrap_or_else(|| Dmhg::new(schema));
-    let metapaths = resolve_metapaths(&prototype, metapath_specs)?;
+    let (prototype, metapaths) = header.finish(graph)?;
     supa_graph::sort_by_time(&mut edges);
     Ok(Dataset {
         name: name.to_string(),
@@ -298,91 +436,43 @@ pub fn load_tsv<R: BufRead>(name: &str, reader: R) -> Result<Dataset, LoadError>
     })
 }
 
-/// Parses a numeric edge endpoint (`src`/`dst`) field.
-pub fn parse_endpoint(
-    token: Option<&str>,
-    what: &'static str,
+/// Resolves one `metapath` line's tokens against the final schema.
+fn resolve_metapath(
+    schema: &GraphSchema,
+    tokens: &[String],
     lineno: usize,
-) -> Result<u32, LoadError> {
-    let tok = token.ok_or_else(|| LoadError::at(lineno, LoadErrorKind::MissingField(what)))?;
-    tok.parse().map_err(|_| {
-        LoadError::at(
-            lineno,
-            LoadErrorKind::BadField {
-                what,
-                token: tok.to_string(),
-            },
-        )
-    })
-}
-
-/// Parses and validates an edge timestamp field: must parse as `f64`, be
-/// finite, and be non-negative (the paper's `t ∈ ℝ⁺`), so NaN never reaches
-/// training.
-pub fn parse_timestamp(token: Option<&str>, lineno: usize) -> Result<f64, LoadError> {
-    let tok =
-        token.ok_or_else(|| LoadError::at(lineno, LoadErrorKind::MissingField("timestamp")))?;
-    let t: f64 = tok.parse().map_err(|_| {
-        LoadError::at(
-            lineno,
-            LoadErrorKind::BadField {
-                what: "timestamp",
-                token: tok.to_string(),
-            },
-        )
-    })?;
-    if !t.is_finite() || t < 0.0 {
-        return Err(LoadError::at(
-            lineno,
-            LoadErrorKind::Graph(supa_graph::GraphError::InvalidTimestamp(t).to_string()),
-        ));
+) -> Result<MetapathSchema, LoadError> {
+    let err = |kind: LoadErrorKind| LoadError::at(lineno, kind);
+    if tokens.len() < 3 || tokens.len().is_multiple_of(2) {
+        return Err(err(LoadErrorKind::MetapathShape));
     }
-    Ok(t)
-}
-
-/// Resolves buffered `metapath` token lines against the finished schema.
-/// Shared by the materialising loader and the streaming scanner.
-pub fn resolve_metapaths(
-    prototype: &Dmhg,
-    specs: Vec<(usize, Vec<String>)>,
-) -> Result<Vec<MetapathSchema>, LoadError> {
-    let mut metapaths = Vec::new();
-    for (lineno, tokens) in specs {
-        let err = |kind: LoadErrorKind| LoadError::at(lineno, kind);
-        if tokens.len() < 3 || tokens.len() % 2 == 0 {
-            return Err(err(LoadErrorKind::MetapathShape));
-        }
-        let mut types = Vec::new();
-        let mut rels = Vec::new();
-        for (i, tok) in tokens.iter().enumerate() {
-            if i % 2 == 0 {
-                types.push(prototype.schema().node_type_by_name(tok).ok_or_else(|| {
-                    err(LoadErrorKind::UnknownMetapathName {
-                        what: "node type",
-                        name: tok.clone(),
-                    })
-                })?);
-            } else {
-                let mut set = RelationSet::EMPTY;
-                for r in tok.split(',') {
-                    set.insert(prototype.schema().relation_by_name(r).ok_or_else(|| {
-                        err(LoadErrorKind::UnknownMetapathName {
-                            what: "relation",
-                            name: r.to_string(),
-                        })
-                    })?);
-                }
-                rels.push(set);
+    let unknown = |what, name: &str| {
+        err(LoadErrorKind::UnknownMetapathName {
+            what,
+            name: name.to_string(),
+        })
+    };
+    let mut types = Vec::new();
+    let mut rels = Vec::new();
+    for (i, tok) in tokens.iter().enumerate() {
+        if i % 2 == 0 {
+            let ty = schema.node_type_by_name(tok);
+            types.push(ty.ok_or_else(|| unknown("node type", tok))?);
+        } else {
+            let mut set = RelationSet::EMPTY;
+            for r in tok.split(',') {
+                let rel = schema.relation_by_name(r);
+                set.insert(rel.ok_or_else(|| unknown("relation", r))?);
             }
+            rels.push(set);
         }
-        let schema = MetapathSchema::new(types, rels)
-            .map_err(|e| err(LoadErrorKind::Metapath(e.to_string())))?;
-        schema
-            .validate(prototype.schema())
-            .map_err(|e| err(LoadErrorKind::Metapath(e.to_string())))?;
-        metapaths.push(schema);
     }
-    Ok(metapaths)
+    let metapath = MetapathSchema::new(types, rels)
+        .map_err(|e| err(LoadErrorKind::Metapath(e.to_string())))?;
+    metapath
+        .validate(schema)
+        .map_err(|e| err(LoadErrorKind::Metapath(e.to_string())))?;
+    Ok(metapath)
 }
 
 /// Serialises a dataset (schema, metapaths, nodes, edges) to the TSV format.

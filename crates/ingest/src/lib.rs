@@ -23,10 +23,11 @@
 //! price is reading the file twice; the payoff is that a dump larger than
 //! RAM replays at full speed.
 //!
-//! **Bit-identity contract**: for a well-formed, time-sorted dump (what
-//! `save_tsv` writes), pass 1's prototype and pass 2's edge sequence are
-//! exactly what `load_tsv` would produce, so the engine digest of a
-//! streamed replay equals the materialised one. Tests pin this.
+//! **One grammar**: both passes parse every line through
+//! `supa_datasets::loader`, as `load_tsv` does, so for the declared dialect
+//! the prototype and the (stably time-sorted) edges are what `load_tsv`
+//! produces and a malformed line fails with the same `LoadError`;
+//! `tests/ingest_properties.rs` checks this over generated dumps.
 //!
 //! The crate is dependency-free (std + the workspace graph/dataset crates
 //! only) so it can be reused by any front-end.
@@ -41,7 +42,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 
-use supa_datasets::loader::{parse_endpoint, parse_timestamp, resolve_metapaths};
+use supa_datasets::loader::{declare_node, EdgeFields, Header, Line};
 use supa_datasets::{Dataset, LoadError, LoadErrorKind};
 use supa_graph::{Dmhg, GraphSchema, NodeId, NodeTypeId, TemporalEdge};
 
@@ -160,10 +161,6 @@ pub enum IngestError {
 }
 
 impl IngestError {
-    fn parse(line: usize, kind: LoadErrorKind) -> Self {
-        IngestError::Parse(LoadError::at(line, kind))
-    }
-
     /// Lenient mode ([`IngestOptions::skip_malformed`]) skips these;
     /// everything else always aborts.
     pub fn recoverable(&self) -> bool {
@@ -248,98 +245,6 @@ impl From<LoadError> for IngestError {
     }
 }
 
-/// Incrementally builds a `GraphSchema` + buffered metapath specs from
-/// schema directive lines; shared by the main scan and sidecar parsing.
-#[derive(Default)]
-struct SchemaBuilder {
-    schema: GraphSchema,
-    metapath_specs: Vec<(usize, Vec<String>)>,
-    seen_any: bool,
-}
-
-impl SchemaBuilder {
-    /// Handles one already-tokenized schema line. `directive` is the
-    /// first token; `parts` iterates the rest.
-    fn handle<'a>(
-        &mut self,
-        directive: &str,
-        mut parts: impl Iterator<Item = &'a str>,
-        lineno: usize,
-    ) -> Result<(), IngestError> {
-        let err = |kind: LoadErrorKind| IngestError::parse(lineno, kind);
-        match directive {
-            "nodetype" => {
-                let ty = parts
-                    .next()
-                    .ok_or_else(|| err(LoadErrorKind::MissingField("type name")))?;
-                if self.schema.node_type_by_name(ty).is_some() {
-                    return Err(err(LoadErrorKind::Duplicate("node type")));
-                }
-                self.schema.add_node_type(ty);
-                reject_trailing(parts, "nodetype", lineno)?;
-            }
-            "relation" => {
-                let rel = parts
-                    .next()
-                    .ok_or_else(|| err(LoadErrorKind::MissingField("relation name")))?;
-                let src = parts
-                    .next()
-                    .ok_or_else(|| err(LoadErrorKind::MissingField("src type")))?;
-                let dst = parts
-                    .next()
-                    .ok_or_else(|| err(LoadErrorKind::MissingField("dst type")))?;
-                if self.schema.relation_by_name(rel).is_some() {
-                    return Err(err(LoadErrorKind::Duplicate("relation")));
-                }
-                let src = self.schema.node_type_by_name(src).ok_or_else(|| {
-                    err(LoadErrorKind::UnknownName {
-                        what: "src type",
-                        name: src.to_string(),
-                    })
-                })?;
-                let dst = self.schema.node_type_by_name(dst).ok_or_else(|| {
-                    err(LoadErrorKind::UnknownName {
-                        what: "dst type",
-                        name: dst.to_string(),
-                    })
-                })?;
-                let rel = rel.to_string();
-                self.schema.add_relation(&rel, src, dst);
-                reject_trailing(parts, "relation", lineno)?;
-            }
-            "metapath" => {
-                let tokens: Vec<String> = parts.map(str::to_string).collect();
-                if self.metapath_specs.iter().any(|(_, prev)| *prev == tokens) {
-                    return Err(err(LoadErrorKind::Duplicate("metapath")));
-                }
-                self.metapath_specs.push((lineno, tokens));
-            }
-            _ => unreachable!("caller dispatches only schema directives"),
-        }
-        self.seen_any = true;
-        Ok(())
-    }
-}
-
-fn reject_trailing<'a>(
-    mut parts: impl Iterator<Item = &'a str>,
-    directive: &'static str,
-    lineno: usize,
-) -> Result<(), IngestError> {
-    let extra: Vec<&str> = parts.by_ref().collect();
-    if extra.is_empty() {
-        Ok(())
-    } else {
-        Err(IngestError::parse(
-            lineno,
-            LoadErrorKind::TrailingFields {
-                directive,
-                extra: extra.join(" "),
-            },
-        ))
-    }
-}
-
 fn open(path: &Path) -> Result<LineReader<File>, IngestError> {
     File::open(path)
         .map(LineReader::new)
@@ -360,94 +265,46 @@ fn utf8(line: &[u8], lineno: usize) -> Result<&str, IngestError> {
     std::str::from_utf8(line).map_err(|_| IngestError::NotUtf8 { line: lineno })
 }
 
-/// An edge line's four raw fields. Both `edge SRC DST REL TIME` and the
-/// headerless `SRC DST REL TIME` spelling (accepted in the string-id
-/// modes) normalise to this.
-struct EdgeFields<'a> {
-    src: &'a str,
-    dst: &'a str,
-    rel: &'a str,
-    time: Option<&'a str>,
-}
-
-/// Pulls `SRC DST REL TIME` out of a token iterator (the `edge` keyword,
-/// if present, must already be consumed).
-fn edge_fields<'a>(
-    mut parts: impl Iterator<Item = &'a str>,
-    lineno: usize,
-) -> Result<EdgeFields<'a>, IngestError> {
-    let err = |kind: LoadErrorKind| IngestError::parse(lineno, kind);
-    let src = parts
-        .next()
-        .ok_or_else(|| err(LoadErrorKind::MissingField("src")))?;
-    let dst = parts
-        .next()
-        .ok_or_else(|| err(LoadErrorKind::MissingField("dst")))?;
-    let rel = parts
-        .next()
-        .ok_or_else(|| err(LoadErrorKind::MissingField("relation")))?;
-    let time = parts.next();
-    reject_trailing(parts, "edge", lineno)?;
-    Ok(EdgeFields {
-        src,
-        dst,
-        rel,
-        time,
-    })
+/// The fields of a line that is neither blank, schema nor node: a bare
+/// `SRC DST REL TIME` edge in the string-id modes, an unknown directive in
+/// the declared dialect.
+fn bare_edge(text: &str, mode: IngestMode, lineno: usize) -> Result<EdgeFields<'_>, LoadError> {
+    if mode == IngestMode::Declared {
+        let kind = LoadErrorKind::UnknownDirective(text.to_string());
+        return Err(LoadError::at(lineno, kind));
+    }
+    EdgeFields::split(text.split_whitespace(), lineno)
 }
 
 /// Parses a sidecar schema file (`nodetype`/`relation`/`metapath` lines
 /// and comments only).
-fn load_sidecar(path: &Path) -> Result<SchemaBuilder, IngestError> {
+fn load_sidecar(path: &Path) -> Result<Header, IngestError> {
     let mut rdr = open(path)?;
-    let mut sb = SchemaBuilder::default();
+    let mut header = Header::default();
     while io_at(rdr.read_line(), rdr.lineno() + 1)? {
         let lineno = rdr.lineno();
-        let text = utf8(rdr.line(), lineno)?.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
-        }
-        let mut parts = text.split_whitespace();
-        match parts.next() {
-            Some(d @ ("nodetype" | "relation" | "metapath")) => sb.handle(d, parts, lineno)?,
+        match Line::parse(utf8(rdr.line(), lineno)?, lineno) {
+            Ok(Line::Blank) => {}
+            Ok(Line::Schema(d, parts)) => header.apply(d, parts, lineno, false)?,
             _ => return Err(IngestError::SidecarData { line: lineno }),
         }
     }
-    Ok(sb)
+    Ok(header)
 }
 
-/// What the cheap look-ahead over the dump's head found.
-enum DumpHead {
-    /// Schema lines precede the data (or the dump is empty).
-    Headed,
-    /// First data line is a `node` declaration without any schema — the
-    /// main scan will produce the right named error.
-    Nodes,
-    /// First data line is an edge and no schema precedes it: run the
-    /// inference pre-pass.
-    Headerless,
-}
-
-/// Reads just far enough to classify the dump: stops at the first
-/// non-comment line.
-fn peek_head(path: &Path) -> Result<DumpHead, IngestError> {
+/// Whether the dump's first non-comment line is an edge (or not UTF-8,
+/// which the main scan then reports), so the inference pre-pass must run.
+fn headerless(path: &Path) -> Result<bool, IngestError> {
     let mut rdr = open(path)?;
     while io_at(rdr.read_line(), rdr.lineno() + 1)? {
-        let Ok(text) = std::str::from_utf8(rdr.line()) else {
-            // Let the main scan report it with full context.
-            return Ok(DumpHead::Headerless);
-        };
-        let text = text.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
+        let line = std::str::from_utf8(rdr.line()).map(|text| Line::parse(text, rdr.lineno()));
+        match line {
+            Ok(Ok(Line::Blank)) => {}
+            Ok(Ok(Line::Schema(..) | Line::Node(_))) => return Ok(false),
+            _ => return Ok(true),
         }
-        return Ok(match text.split_whitespace().next() {
-            Some("nodetype" | "relation" | "metapath") => DumpHead::Headed,
-            Some("node") => DumpHead::Nodes,
-            _ => DumpHead::Headerless,
-        });
     }
-    Ok(DumpHead::Headed)
+    Ok(false)
 }
 
 /// Union-find over `(relation, side)` slots for schema inference.
@@ -500,28 +357,26 @@ fn infer_schema(path: &Path, opts: &IngestOptions) -> Result<GraphSchema, Ingest
     while data_lines < opts.scan_lines && io_at(rdr.read_line(), rdr.lineno() + 1)? {
         let lineno = rdr.lineno();
         let text = match utf8(rdr.line(), lineno) {
-            Ok(t) => t.trim(),
-            Err(e) if opts.skip_malformed => {
-                let _ = e;
-                continue;
-            }
+            Ok(t) => t,
+            Err(_) if opts.skip_malformed => continue,
             Err(e) => return Err(e),
         };
-        if text.is_empty() || text.starts_with('#') {
+        let line = Line::parse(text, lineno);
+        if matches!(line, Ok(Line::Blank)) {
             continue;
         }
         data_lines += 1;
-        let mut parts = text.split_whitespace();
-        let first = parts.next().unwrap_or("");
-        let parsed = if first == "edge" {
-            edge_fields(parts, lineno)
-        } else {
-            edge_fields(std::iter::once(first).chain(parts), lineno)
+        let parsed = match line {
+            Ok(Line::Edge(fields)) => Ok(fields),
+            Ok(Line::Other(text)) => EdgeFields::split(text.split_whitespace(), lineno),
+            // Schema and node lines after an edge are the main scan's errors.
+            Ok(_) => continue,
+            Err(e) => Err(e),
         };
         let fields = match parsed {
             Ok(f) => f,
-            Err(e) if opts.skip_malformed && e.recoverable() => continue,
-            Err(e) => return Err(e),
+            Err(_) if opts.skip_malformed => continue,
+            Err(e) => return Err(e.into()),
         };
         let ri = match rel_index.get(fields.rel) {
             Some(&i) => i,
@@ -552,8 +407,7 @@ fn infer_schema(path: &Path, opts: &IngestOptions) -> Result<GraphSchema, Ingest
             .entry(root)
             .or_insert_with(|| schema.add_node_type(format!("T{}", schema.num_node_types())))
     };
-    let specs: Vec<(String, usize, usize)> = rels;
-    for (name, src_slot, dst_slot) in &specs {
+    for (name, src_slot, dst_slot) in &rels {
         let src = resolve(&mut slots, &mut schema, *src_slot);
         let dst = resolve(&mut slots, &mut schema, *dst_slot);
         schema.add_relation(name, src, dst);
@@ -561,8 +415,6 @@ fn infer_schema(path: &Path, opts: &IngestOptions) -> Result<GraphSchema, Ingest
     Ok(schema)
 }
 
-/// The result of pass 1: the prototype dataset (no edges), counters, and
-/// the frozen state pass 2 needs to translate endpoints.
 impl std::fmt::Debug for ScanReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScanReport")
@@ -573,6 +425,8 @@ impl std::fmt::Debug for ScanReport {
     }
 }
 
+/// The result of pass 1: the prototype dataset (no edges), counters, and
+/// the frozen state pass 2 needs to translate endpoints.
 pub struct ScanReport {
     /// Prototype + metapaths, `edges` empty — feed this to
     /// `Supa::from_dataset` and the engine exactly like a materialised
@@ -614,19 +468,14 @@ impl ScanReport {
 /// identity modes.
 pub fn scan_tsv(path: &Path, opts: &IngestOptions) -> Result<ScanReport, IngestError> {
     let sidecar = opts.schema_path.is_some();
-    let mut sb = match &opts.schema_path {
+    let mut header = match &opts.schema_path {
         Some(p) => load_sidecar(p)?,
-        None => SchemaBuilder::default(),
+        None => Header::default(),
     };
     let mut mode = IngestMode::Interned;
-    if !sidecar {
-        match peek_head(path)? {
-            DumpHead::Headerless => {
-                sb.schema = infer_schema(path, opts)?;
-                mode = IngestMode::Inferred;
-            }
-            DumpHead::Headed | DumpHead::Nodes => {}
-        }
+    if !sidecar && headerless(path)? {
+        header.schema = infer_schema(path, opts)?;
+        mode = IngestMode::Inferred;
     }
     let inferred = mode == IngestMode::Inferred;
 
@@ -637,12 +486,13 @@ pub fn scan_tsv(path: &Path, opts: &IngestOptions) -> Result<ScanReport, IngestE
     let mut prev_time = f64::NEG_INFINITY;
 
     macro_rules! lenient {
-        ($stats:ident, $result:expr) => {
+        ($result:expr) => {
             match $result {
                 Ok(v) => v,
                 Err(e) => {
+                    let e: IngestError = e.into();
                     if opts.skip_malformed && e.recoverable() {
-                        $stats.malformed += 1;
+                        stats.malformed += 1;
                         continue;
                     }
                     return Err(e);
@@ -655,99 +505,65 @@ pub fn scan_tsv(path: &Path, opts: &IngestOptions) -> Result<ScanReport, IngestE
         let lineno = rdr.lineno();
         stats.lines += 1;
         stats.bytes = rdr.bytes();
-        let text = lenient!(stats, utf8(rdr.line(), lineno));
-        let text = text.trim();
-        if text.is_empty() || text.starts_with('#') {
-            stats.comments += 1;
-            continue;
-        }
-        let mut parts = text.split_whitespace();
-        let first = parts.next().unwrap_or("");
-        match first {
-            "nodetype" | "relation" | "metapath" => {
+        let text = lenient!(utf8(rdr.line(), lineno));
+        let fields = match lenient!(Line::parse(text, lineno)) {
+            Line::Blank => {
+                stats.comments += 1;
+                continue;
+            }
+            Line::Schema(directive, parts) => {
                 if sidecar {
                     return Err(IngestError::SchemaInDumpAndSidecar { line: lineno });
                 }
-                if inferred || proto.is_some() || interner.is_some() {
-                    // Schema after data: same named error as load_tsv.
-                    lenient!(
-                        stats,
-                        Err::<(), _>(IngestError::parse(lineno, LoadErrorKind::SchemaAfterNodes))
-                    );
-                }
-                lenient!(stats, sb.handle(first, parts, lineno));
+                let after_data = inferred || proto.is_some() || interner.is_some();
+                lenient!(header.apply(directive, parts, lineno, after_data));
                 stats.schema_lines += 1;
+                continue;
             }
-            "node" => {
+            Line::Node(parts) => {
                 stats.node_lines += 1;
                 if interner.is_some() {
                     return Err(IngestError::MixedIdSpaces { line: lineno });
                 }
-                let g = proto.get_or_insert_with(|| Dmhg::new(sb.schema.clone()));
-                lenient!(stats, declare_node(g, parts, lineno));
+                let g = proto.get_or_insert_with(|| Dmhg::new(header.schema.clone()));
+                lenient!(declare_node(g, parts, lineno));
                 mode = IngestMode::Declared;
+                continue;
             }
-            _ => {
-                // An edge: `edge …` or (string-id modes) a bare 4-field line.
-                let declared = mode == IngestMode::Declared;
-                let fields = if first == "edge" {
-                    lenient!(stats, edge_fields(parts, lineno))
-                } else if declared {
-                    // Declared mode keeps load_tsv's strict directive set.
-                    lenient!(
-                        stats,
-                        Err::<EdgeFields, _>(IngestError::parse(
-                            lineno,
-                            LoadErrorKind::UnknownDirective(text.to_string()),
-                        ))
-                    )
-                } else {
-                    lenient!(
-                        stats,
-                        edge_fields(std::iter::once(first).chain(parts), lineno)
-                    )
-                };
-                if declared {
-                    // Numeric endpoints against the declared node table.
-                    let g = proto.as_ref().expect("declared mode implies nodes");
-                    lenient!(stats, check_declared_edge(g, &fields, lineno));
-                } else if sb.schema.num_relations() == 0 && !inferred {
-                    // No schema at all: load_tsv's error for an edge with
-                    // nothing declared.
-                    lenient!(
-                        stats,
-                        Err::<(), _>(IngestError::parse(lineno, LoadErrorKind::EdgeBeforeNodes))
-                    );
-                } else {
-                    if proto.is_none() {
-                        proto = Some(Dmhg::new(sb.schema.clone()));
-                    }
-                    let g = proto.as_mut().expect("just initialised");
-                    let it = interner.get_or_insert_with(|| Interner::new(opts.interner_budget));
-                    lenient!(
-                        stats,
-                        intern_edge(g, it, &sb.schema, &fields, lineno, inferred, opts)
-                    );
-                }
-                let t = lenient!(
-                    stats,
-                    parse_timestamp(fields.time, lineno).map_err(IngestError::Parse)
-                );
-                if t < prev_time {
-                    stats.out_of_order += 1;
-                }
-                prev_time = t;
-                stats.edges += 1;
-            }
+            Line::Edge(fields) => fields,
+            Line::Other(text) => lenient!(bare_edge(text, mode, lineno)),
+        };
+        let t = if mode == IngestMode::Declared {
+            let g = proto.as_ref().expect("declared mode implies nodes");
+            lenient!(fields.resolve_in(g, lineno)).time
+        } else if header.schema.num_relations() == 0 && !inferred {
+            // No schema at all: load_tsv's error for an edge with nothing
+            // declared.
+            lenient!(Err(LoadError::at(lineno, LoadErrorKind::EdgeBeforeNodes)))
+        } else {
+            let g = proto.get_or_insert_with(|| Dmhg::new(header.schema.clone()));
+            let it = interner.get_or_insert_with(|| Interner::new(opts.interner_budget));
+            lenient!(intern_edge(
+                g,
+                it,
+                &fields,
+                lineno,
+                inferred.then_some(opts.scan_lines)
+            ));
+            lenient!(fields.time(lineno))
+        };
+        if t < prev_time {
+            stats.out_of_order += 1;
         }
+        prev_time = t;
+        stats.edges += 1;
     }
     stats.bytes = rdr.bytes();
     if let Some(it) = &interner {
         stats.interner = it.stats();
     }
 
-    let prototype = proto.unwrap_or_else(|| Dmhg::new(sb.schema));
-    let metapaths = resolve_metapaths(&prototype, sb.metapath_specs)?;
+    let (prototype, metapaths) = header.finish(proto)?;
     let name = path
         .file_stem()
         .and_then(|s| s.to_str())
@@ -768,101 +584,29 @@ pub fn scan_tsv(path: &Path, opts: &IngestOptions) -> Result<ScanReport, IngestE
     })
 }
 
-/// Handles one `node ID TYPE` line exactly like `load_tsv`.
-fn declare_node<'a>(
-    g: &mut Dmhg,
-    mut parts: impl Iterator<Item = &'a str>,
-    lineno: usize,
-) -> Result<(), IngestError> {
-    let err = |kind: LoadErrorKind| IngestError::parse(lineno, kind);
-    let id_tok = parts
-        .next()
-        .ok_or_else(|| err(LoadErrorKind::MissingField("node id")))?;
-    let id: u32 = id_tok.parse().map_err(|_| {
-        err(LoadErrorKind::BadField {
-            what: "node id",
-            token: id_tok.to_string(),
-        })
-    })?;
-    let ty_name = parts
-        .next()
-        .ok_or_else(|| err(LoadErrorKind::MissingField("node type")))?;
-    let ty = g.schema().node_type_by_name(ty_name).ok_or_else(|| {
-        err(LoadErrorKind::UnknownName {
-            what: "node type",
-            name: ty_name.to_string(),
-        })
-    })?;
-    let assigned = g
-        .try_add_node(ty)
-        .map_err(|e| err(LoadErrorKind::Graph(e.to_string())))?;
-    if assigned != NodeId(id) {
-        return Err(err(LoadErrorKind::NonDenseNodeId {
-            expected: assigned.0,
-            got: id,
-        }));
-    }
-    reject_trailing(parts, "node", lineno)
-}
-
-/// Validates a declared-mode edge (numeric endpoints) without storing it.
-fn check_declared_edge(g: &Dmhg, fields: &EdgeFields, lineno: usize) -> Result<(), IngestError> {
-    let err = |kind: LoadErrorKind| IngestError::parse(lineno, kind);
-    let src = parse_endpoint(Some(fields.src), "src", lineno)?;
-    let dst = parse_endpoint(Some(fields.dst), "dst", lineno)?;
-    let rel = g.schema().relation_by_name(fields.rel).ok_or_else(|| {
-        err(LoadErrorKind::UnknownName {
-            what: "relation",
-            name: fields.rel.to_string(),
-        })
-    })?;
-    for endpoint in [src, dst] {
-        if endpoint as usize >= g.num_nodes() {
-            return Err(err(LoadErrorKind::UndeclaredEndpoint {
-                node: endpoint,
-                num_nodes: g.num_nodes(),
-            }));
-        }
-    }
-    let (ts, td) = (g.node_type(NodeId(src)), g.node_type(NodeId(dst)));
-    g.schema()
-        .check_edge(rel, ts, td)
-        .map_err(|e| err(LoadErrorKind::Graph(e.to_string())))?;
-    Ok(())
-}
-
 /// Interns a string-id edge's endpoints, registering fresh nodes in the
 /// prototype (dense, first-appearance order) and checking type
 /// consistency for repeats.
+/// `inferred_from` is the inference prefix length when the schema was
+/// inferred, which names an unknown relation's error.
 fn intern_edge(
     g: &mut Dmhg,
     it: &mut Interner,
-    schema: &GraphSchema,
     fields: &EdgeFields,
     lineno: usize,
-    inferred: bool,
-    opts: &IngestOptions,
+    inferred_from: Option<usize>,
 ) -> Result<(), IngestError> {
-    let rel = match schema.relation_by_name(fields.rel) {
-        Some(r) => r,
-        None if inferred => {
-            return Err(IngestError::RelationPastPrefix {
+    let rel = fields
+        .relation(g.schema(), lineno)
+        .map_err(|e| match inferred_from {
+            Some(scan_lines) => IngestError::RelationPastPrefix {
                 line: lineno,
                 relation: fields.rel.to_string(),
-                scan_lines: opts.scan_lines,
-            })
-        }
-        None => {
-            return Err(IngestError::parse(
-                lineno,
-                LoadErrorKind::UnknownName {
-                    what: "relation",
-                    name: fields.rel.to_string(),
-                },
-            ))
-        }
-    };
-    let spec = schema.relation(rel).expect("relation just resolved");
+                scan_lines,
+            },
+            None => e.into(),
+        })?;
+    let spec = g.schema().relation(rel).expect("relation just resolved");
     for (key, want_ty) in [(fields.src, spec.src_type), (fields.dst, spec.dst_type)] {
         let (id, fresh) = it
             .intern(key.as_bytes())
@@ -873,10 +617,15 @@ fn intern_edge(
         if fresh {
             let assigned = g
                 .try_add_node(want_ty)
-                .map_err(|e| IngestError::parse(lineno, LoadErrorKind::Graph(e.to_string())))?;
+                .map_err(|e| LoadError::at(lineno, LoadErrorKind::Graph(e.to_string())))?;
             debug_assert_eq!(assigned, NodeId(id), "interner and prototype desynced");
         } else if g.node_type(NodeId(id)) != want_ty {
-            let name = |t: NodeTypeId| schema.node_type_name(t).unwrap_or("<unknown>").to_string();
+            let name = |t| {
+                g.schema()
+                    .node_type_name(t)
+                    .unwrap_or("<unknown>")
+                    .to_string()
+            };
             return Err(IngestError::TypeConflict {
                 line: lineno,
                 key: key.to_string(),
@@ -965,68 +714,36 @@ impl EventStream {
     /// Parses the current line; `Ok(None)` for non-edge lines.
     fn classify(&mut self, lineno: usize) -> Result<Option<TemporalEdge>, IngestError> {
         // Borrow the line bytes once; everything below works on `text`.
-        let text = utf8(self.reader.line(), lineno)?.trim();
-        if text.is_empty() || text.starts_with('#') {
-            self.stats.comments += 1;
-            return Ok(None);
-        }
-        let mut parts = text.split_whitespace();
-        let first = parts.next().unwrap_or("");
-        let fields = match first {
+        let text = utf8(self.reader.line(), lineno)?;
+        let fields = match Line::parse(text, lineno)? {
+            Line::Blank => {
+                self.stats.comments += 1;
+                return Ok(None);
+            }
             // Pass 1 already validated schema and node lines; skip them.
-            "nodetype" | "relation" | "metapath" | "node" => return Ok(None),
-            "edge" => edge_fields(parts, lineno)?,
-            _ if self.mode == IngestMode::Declared => {
-                return Err(IngestError::parse(
-                    lineno,
-                    LoadErrorKind::UnknownDirective(text.to_string()),
-                ))
-            }
-            _ => edge_fields(std::iter::once(first).chain(parts), lineno)?,
+            Line::Schema(..) | Line::Node(_) => return Ok(None),
+            Line::Edge(fields) => fields,
+            Line::Other(text) => bare_edge(text, self.mode, lineno)?,
         };
-        let rel = self.schema.relation_by_name(fields.rel).ok_or_else(|| {
-            IngestError::parse(
-                lineno,
-                LoadErrorKind::UnknownName {
-                    what: "relation",
-                    name: fields.rel.to_string(),
-                },
-            )
-        })?;
-        let (src, dst) = match &mut self.interner {
-            None => {
-                let src = parse_endpoint(Some(fields.src), "src", lineno)?;
-                let dst = parse_endpoint(Some(fields.dst), "dst", lineno)?;
-                for endpoint in [src, dst] {
-                    if endpoint as usize >= self.num_nodes {
-                        return Err(IngestError::parse(
-                            lineno,
-                            LoadErrorKind::UndeclaredEndpoint {
-                                node: endpoint,
-                                num_nodes: self.num_nodes,
-                            },
-                        ));
-                    }
-                }
-                (src, dst)
-            }
-            Some(it) => {
-                let mut translate = |key: &str| -> Result<u32, IngestError> {
-                    let (id, fresh) =
-                        it.intern(key.as_bytes())
-                            .map_err(|source| IngestError::Interner {
-                                line: lineno,
-                                source,
-                            })?;
-                    if fresh || id as usize >= self.num_nodes {
-                        return Err(IngestError::ChangedBetweenPasses { line: lineno });
-                    }
-                    Ok(id)
-                };
-                (translate(fields.src)?, translate(fields.dst)?)
-            }
+        let Some(it) = &mut self.interner else {
+            let edge = fields.resolve(&self.schema, self.num_nodes, lineno)?;
+            return Ok(Some(edge));
         };
-        let t = parse_timestamp(fields.time, lineno)?;
+        let rel = fields.relation(&self.schema, lineno)?;
+        let mut translate = |key: &str| -> Result<u32, IngestError> {
+            let (id, fresh) =
+                it.intern(key.as_bytes())
+                    .map_err(|source| IngestError::Interner {
+                        line: lineno,
+                        source,
+                    })?;
+            if fresh || id as usize >= self.num_nodes {
+                return Err(IngestError::ChangedBetweenPasses { line: lineno });
+            }
+            Ok(id)
+        };
+        let (src, dst) = (translate(fields.src)?, translate(fields.dst)?);
+        let t = fields.time(lineno)?;
         Ok(Some(TemporalEdge::new(NodeId(src), NodeId(dst), rel, t)))
     }
 }
@@ -1111,6 +828,26 @@ edge 0 2 Click 2.0
         assert_eq!(report.mode, IngestMode::Declared);
         assert!(report.dataset.edges.is_empty());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn late_metapath_lines_load_through_both_entry_points() {
+        // A metapath line may follow nodes and edges; a relation line may not.
+        let dump = "nodetype U\nnodetype I\nrelation C U I\nnode 0 U\nmetapath U C I\n\
+                    node 1 I\nedge 0 1 C 1.0\nmetapath I C U C I\n";
+        let late = format!("{dump}relation B U I\n");
+        let (good, bad) = (write_dump(dump), write_dump(&late));
+        let want = supa_datasets::load_tsv("d", dump.as_bytes()).unwrap();
+        let (got, edges, _) = collect(&good, &IngestOptions::default());
+        assert_eq!((got.metapaths.len(), &got.metapaths), (2, &want.metapaths));
+        assert_eq!(edges, want.edges);
+        let want = supa_datasets::load_tsv("d", late.as_bytes()).unwrap_err();
+        assert_eq!(want, LoadError::at(9, LoadErrorKind::SchemaAfterNodes));
+        let got = scan_tsv(&bad, &IngestOptions::default()).unwrap_err();
+        assert_eq!(got, IngestError::Parse(want));
+        for p in [good, bad] {
+            std::fs::remove_file(p).ok();
+        }
     }
 
     #[test]

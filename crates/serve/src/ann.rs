@@ -1,9 +1,8 @@
 //! Writer-side upkeep of the shared-base ANN indexes: the masters the
-//! writer refreshes between epochs ([`AnnMaster`]), the frozen copy each
-//! epoch publishes ([`AnnEpoch`]) and the recall-guard auto-tuner
-//! ([`AnnTuner`]). The candidate layout, the index build / refresh / adoption
-//! and the query rule itself are [`supa_replica::retrieval`]'s, shared with
-//! every replica.
+//! writer refreshes between epochs ([`AnnMaster`]) and the frozen copy each
+//! epoch publishes ([`AnnEpoch`]). The candidate layout, the index build /
+//! refresh / adoption and the query rule itself are
+//! [`supa_replica::retrieval`]'s, shared with every replica.
 
 use std::sync::Arc;
 
@@ -13,7 +12,6 @@ use supa_graph::RelationId;
 use supa_replica::retrieval::{adopt_index_set, Catalog, GroupIndexes};
 
 use crate::engine::AnnOptions;
-use crate::metrics::ServeMetrics;
 
 /// The shared-base ANN indexes of one published epoch, one per *group*: a
 /// set of relations whose edges land on the same destination node type
@@ -27,12 +25,10 @@ pub struct AnnEpoch {
     indexes: Vec<Option<HnswIndex>>,
     /// Relation → group: which shared index answers each relation.
     group_of: Vec<usize>,
-    /// The effective query beam width when this epoch was published. Epochs
-    /// stamp the values in force so a query (and any later `verify` replay)
-    /// is a pure function of the epoch it hits, even while the auto-tuner
-    /// moves the live values between epochs.
+    /// The query beam width stamped at publication, so a query (and any
+    /// later `verify` replay) reads its beam from the epoch it hits.
     ef_search: usize,
-    /// The effective beam margin at publication (see [`AnnOptions::ef_margin`]).
+    /// The beam margin stamped at publication (see [`AnnOptions::ef_margin`]).
     ef_margin: usize,
 }
 
@@ -45,12 +41,12 @@ impl AnnEpoch {
         self.indexes.get(g)?.as_ref()
     }
 
-    /// The effective `ef_search` stamped at publication.
+    /// The `ef_search` stamped at publication.
     pub fn ef_search(&self) -> usize {
         self.ef_search
     }
 
-    /// The effective `ef_margin` stamped at publication.
+    /// The `ef_margin` stamped at publication.
     pub fn ef_margin(&self) -> usize {
         self.ef_margin
     }
@@ -60,15 +56,13 @@ impl AnnEpoch {
 /// Between epochs only the nodes the training interval touched are
 /// re-inserted; `freeze` then copies the masters into an immutable
 /// [`AnnEpoch`] for publication, reusing a retired epoch's buffers when it
-/// is handed one. Also owns the *effective* beam widths
-/// (the configured values, possibly moved by the auto-tuner) that get
-/// stamped into each published epoch.
+/// is handed one. Also holds the configured beam widths that get stamped
+/// into each published epoch.
 pub(crate) struct AnnMaster {
     pub(crate) indexes: GroupIndexes,
     group_of: Vec<usize>,
     pub(crate) ef_search: usize,
     pub(crate) ef_margin: usize,
-    tuner: Option<AnnTuner>,
 }
 
 impl AnnMaster {
@@ -80,30 +74,19 @@ impl AnnMaster {
     ) -> AnnMaster {
         let config = opts.params().config();
         let indexes = GroupIndexes::build(config, scorer, catalog.groups().to_vec());
-        AnnMaster::new(opts, catalog, indexes, [0, 0])
+        AnnMaster::new(opts, catalog, indexes)
     }
 
-    /// `stamps` are the effective beam widths a checkpoint saved (zero for a
-    /// fresh build). An auto-tuned engine resumes where the tuner left off,
-    /// floored at the configured base; a static configuration ignores them
-    /// so behaviour stays exactly the configured one.
-    fn new(
-        opts: &AnnOptions,
-        catalog: &Catalog,
-        indexes: GroupIndexes,
-        stamps: [u64; 2],
-    ) -> AnnMaster {
-        let floor = if opts.auto_tune { stamps } else { [0, 0] };
+    fn new(opts: &AnnOptions, catalog: &Catalog, indexes: GroupIndexes) -> AnnMaster {
         AnnMaster {
             indexes,
             group_of: catalog.group_of().to_vec(),
-            ef_search: opts.ef_search.max(floor[0] as usize),
-            ef_margin: opts.ef_margin.max(floor[1] as usize),
-            tuner: opts.auto_tune.then(|| AnnTuner::new(opts)),
+            ef_search: opts.ef_search,
+            ef_margin: opts.ef_margin,
         }
     }
 
-    /// Serializes the index set (with the effective beam widths as stamps)
+    /// Serializes the index set (with the beam widths as stamps)
     /// for the checkpoint's opaque index section, as one partition.
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let stamps = [self.ef_search as u64, self.ef_margin as u64];
@@ -113,15 +96,16 @@ impl AnnMaster {
     /// Reconstructs the master from a checkpoint's index section instead of
     /// rebuilding, after the checks of [`adopt_index_set`]. Any mismatch is
     /// a named error — the caller falls back to a rebuild, never to
-    /// silently wrong indexes.
+    /// silently wrong indexes. The saved beam-width stamps are ignored: the
+    /// configured widths are the ones in force.
     pub(crate) fn restore(
         opts: &AnnOptions,
         scorer: &ServingSnapshot,
         catalog: &Catalog,
         bytes: &[u8],
     ) -> Result<AnnMaster, String> {
-        let (indexes, stamps) = adopt_index_set(scorer.dim(), catalog, bytes)?;
-        Ok(AnnMaster::new(opts, catalog, indexes, stamps))
+        let (indexes, _stamps) = adopt_index_set(scorer.dim(), catalog, bytes)?;
+        Ok(AnnMaster::new(opts, catalog, indexes))
     }
 
     /// Freezes the current masters into a publishable epoch. Given a
@@ -132,8 +116,6 @@ impl AnnMaster {
         let epoch = match recycled {
             Some(mut epoch) => {
                 epoch.indexes.clone_from_slice(self.indexes.indexes());
-                epoch.ef_search = self.ef_search;
-                epoch.ef_margin = self.ef_margin;
                 epoch
             }
             None => AnnEpoch {
@@ -144,113 +126,6 @@ impl AnnMaster {
             },
         };
         Arc::new(epoch)
-    }
-
-    /// Runs the auto-tuner (when enabled) against the guard counters that
-    /// accumulated in `metrics` since its last qualifying interval. See
-    /// [`AnnTuner`].
-    pub(crate) fn tune(&mut self, metrics: &ServeMetrics) {
-        use std::sync::atomic::Ordering::Relaxed;
-        let Some(tuner) = &mut self.tuner else { return };
-        let checks = metrics.ann_guard_checks.load(Relaxed);
-        let expected = metrics.ann_guard_expected.load(Relaxed);
-        let matched = metrics.ann_guard_matched.load(Relaxed);
-        let d_checks = checks.saturating_sub(tuner.seen_checks);
-        if d_checks < TUNE_MIN_CHECKS {
-            // Not enough fresh evidence; leave the counters unconsumed so
-            // sparse guard traffic accumulates toward the threshold.
-            return;
-        }
-        let d_expected = expected.saturating_sub(tuner.seen_expected);
-        let d_matched = matched.saturating_sub(tuner.seen_matched);
-        tuner.seen_checks = checks;
-        tuner.seen_expected = expected;
-        tuner.seen_matched = matched;
-        let recall = if d_expected == 0 {
-            1.0
-        } else {
-            d_matched as f64 / d_expected as f64
-        };
-        if recall < tuner.min_recall {
-            tuner.calm = 0;
-            let cap_ef = tuner.base_ef.saturating_mul(TUNE_MAX_SCALE);
-            let cap_margin = tuner
-                .base_margin
-                .max(TUNE_MIN_STEP)
-                .saturating_mul(TUNE_MAX_SCALE);
-            self.ef_search = (self.ef_search + (self.ef_search / 2).max(TUNE_MIN_STEP)).min(cap_ef);
-            self.ef_margin =
-                (self.ef_margin + (self.ef_margin / 2).max(TUNE_MIN_STEP)).min(cap_margin);
-        } else if recall >= tuner.min_recall + TUNE_HEADROOM {
-            tuner.calm += 1;
-            if tuner.calm >= TUNE_CALM_INTERVALS {
-                tuner.calm = 0;
-                // A quarter of the way back toward base, always at least one
-                // step so the walk terminates at base instead of stalling
-                // just above it.
-                let step_down = |cur: usize, base: usize| {
-                    if cur > base {
-                        (cur - ((cur - base) / 4).max(1)).max(base)
-                    } else {
-                        base
-                    }
-                };
-                self.ef_search = step_down(self.ef_search, tuner.base_ef);
-                self.ef_margin = step_down(self.ef_margin, tuner.base_margin);
-            }
-        } else {
-            tuner.calm = 0;
-        }
-    }
-}
-
-/// Writer-side hysteresis for the effective beam widths, driven by the
-/// recall guard's counters (accumulated by readers, read at each publish).
-///
-/// - **Up**: an interval with at least [`TUNE_MIN_CHECKS`] guard checks and
-///   interval recall below the floor widens both `ef_search` and
-///   `ef_margin` by ~1.5× (capped at [`TUNE_MAX_SCALE`]× the configured
-///   base).
-/// - **Down**: [`TUNE_CALM_INTERVALS`] consecutive qualifying intervals
-///   with recall at least [`TUNE_HEADROOM`] above the floor step both
-///   widths a quarter of the way back toward the configured base (never
-///   below it).
-///
-/// Intervals with fewer than [`TUNE_MIN_CHECKS`] fresh checks are skipped
-/// without consuming the counters, so sparse guard traffic accumulates
-/// until a judgement is statistically worth making.
-struct AnnTuner {
-    base_ef: usize,
-    base_margin: usize,
-    min_recall: f64,
-    seen_checks: u64,
-    seen_expected: u64,
-    seen_matched: u64,
-    calm: u32,
-}
-
-/// Minimum fresh guard checks before the tuner judges an interval.
-const TUNE_MIN_CHECKS: u64 = 4;
-/// Recall headroom above the floor that counts as a calm interval.
-const TUNE_HEADROOM: f64 = 0.02;
-/// Consecutive calm intervals before stepping the widths back down.
-const TUNE_CALM_INTERVALS: u32 = 3;
-/// Cap on the widths: this multiple of the configured base.
-const TUNE_MAX_SCALE: usize = 8;
-/// Smallest widening step, so tiny configured widths still move.
-const TUNE_MIN_STEP: usize = 8;
-
-impl AnnTuner {
-    fn new(opts: &AnnOptions) -> AnnTuner {
-        AnnTuner {
-            base_ef: opts.ef_search,
-            base_margin: opts.ef_margin,
-            min_recall: opts.min_recall,
-            seen_checks: 0,
-            seen_expected: 0,
-            seen_matched: 0,
-            calm: 0,
-        }
     }
 }
 

@@ -23,7 +23,7 @@
 //!                [--checkpoint-every 8] [--keep 3] [--resume]
 //!                [--on-bad-event strict|skip|clamp] [--warmup 8]
 //!                [--ann] [--ef-search 64] [--ef-margin 32]
-//!                [--guard-every 64] [--min-recall 0.95] [--ann-auto-tune]
+//!                [--guard-every 64] [--min-recall 0.95]
 //!                [--shed-policy block|drop-oldest|sample-1-in-k]
 //!                [--sample-k 8] [--priority Rel=low|normal|high,...]
 //!                [--metrics-dump FILE]
@@ -62,13 +62,11 @@
 //! exact re-scoring over a beam widened by `--ef-margin` on top of the
 //! `--ef-search` query beam. One in `--guard-every` ANN answers is
 //! re-scored exactly, with recall below `--min-recall` tallied (and
-//! reported) as a guard breach; `--ann-auto-tune` lets the writer widen
-//! the effective beam on sustained breaches and relax it once recall
-//! holds, stamping the effective values into each published epoch. ANN
-//! answers are re-scored exactly, so reported scores stay bit-identical to
-//! brute force — only top-K membership can differ. With `--checkpoint-dir`
-//! the indexes persist inside checkpoints, and `--resume` restores them
-//! fingerprint-verified instead of rebuilding.
+//! reported) as a guard breach. ANN answers are re-scored exactly, so
+//! reported scores stay bit-identical to brute force — only top-K
+//! membership can differ. With `--checkpoint-dir` the indexes persist
+//! inside checkpoints, and `--resume` restores them fingerprint-verified
+//! instead of rebuilding.
 //!
 //! Overload: `--shed-policy` picks what happens when the ingest queue fills —
 //! `block` (the default; producers wait, exactly today's backpressure),
@@ -249,7 +247,7 @@ const COMMANDS: &[CommandSpec] = &[
             "publish-segment",
             "publish-wait",
         ],
-        bool_flags: &["mine", "resume", "ann", "ann-auto-tune"],
+        bool_flags: &["mine", "resume", "ann"],
     },
     CommandSpec {
         name: "replica",
@@ -305,8 +303,24 @@ fn parse(args: &[String]) -> Result<(String, HashMap<String, String>), String> {
 
 fn usage() -> String {
     "usage: supa <generate|stats|mine|train|evaluate|recommend|ingest|serve|replica> [--flags]; \
-     see the binary's module docs"
+     `supa <command> --help` lists a command's flags"
         .to_string()
+}
+
+/// The text `supa --help`, `supa help` and `supa <command> --help` print:
+/// the usage line, or the command's flags from [`COMMANDS`].
+fn help(args: &[String]) -> Option<String> {
+    let (first, rest) = args.split_first()?;
+    if first == "--help" || first == "help" {
+        return Some(usage());
+    }
+    let spec = COMMANDS.iter().find(|s| s.name == first)?;
+    let values = spec.value_flags.iter().map(|f| format!("  --{f} VALUE"));
+    let flags: Vec<String> = values
+        .chain(spec.bool_flags.iter().map(|f| format!("  --{f}")))
+        .collect();
+    let asked = rest.iter().any(|a| a == "--help");
+    asked.then(|| format!("usage: supa {first} [--flags]\n{}", flags.join("\n")))
 }
 
 fn get<T: std::str::FromStr>(
@@ -410,6 +424,10 @@ fn build_model(d: &Dataset, flags: &HashMap<String, String>) -> Result<Supa, Str
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    if let Some(text) = help(args) {
+        println!("{text}");
+        return Ok(());
+    }
     let (cmd, flags) = parse(args)?;
     match cmd.as_str() {
         "generate" => {
@@ -766,7 +784,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
             };
             let model = build_model(&d, &flags)?;
-            let ann = match ann_params(&flags, &["guard-every", "min-recall", "ann-auto-tune"])? {
+            let ann = match ann_params(&flags, &["guard-every", "min-recall"])? {
                 Some(p) => {
                     let defaults = AnnOptions::default();
                     Some(AnnOptions {
@@ -774,7 +792,6 @@ fn run(args: &[String]) -> Result<(), String> {
                         ef_margin: p.ef_margin,
                         guard_every: get(&flags, "guard-every", defaults.guard_every)?,
                         min_recall: get(&flags, "min-recall", defaults.min_recall)?,
-                        auto_tune: flags.contains_key("ann-auto-tune"),
                         seed: p.seed,
                         ..defaults
                     })

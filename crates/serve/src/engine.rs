@@ -43,8 +43,8 @@
 //!   relation, how wide the beam is and how survivors are re-scored — is not
 //!   decided here: queries, `verify` and the recall guard all call
 //!   `supa_replica::retrieval`, the code every replica runs too. The
-//!   writer-side index masters, the per-epoch freeze and the recall
-//!   auto-tuner live in `crate::ann`.
+//!   writer-side index masters and the per-epoch freeze live in
+//!   `crate::ann`.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc as std_mpsc;
@@ -140,14 +140,6 @@ pub struct AnnOptions {
     pub guard_every: u64,
     /// Recall floor: a guard check below this tallies a breach in metrics.
     pub min_recall: f64,
-    /// Let the writer nudge the effective `ef_search`/`ef_margin` up when
-    /// the recall guard sustains breaches and back toward the configured
-    /// base once recall is comfortably above the floor. The effective
-    /// values are stamped into each published epoch, so queries (and
-    /// `verify` replays) stay a pure function of the epoch they hit.
-    /// Requires `guard_every > 0`. Off by default: the static configuration
-    /// remains bit-identical to previous releases.
-    pub auto_tune: bool,
     /// Seed for the index's deterministic level assignment.
     pub seed: u64,
 }
@@ -164,7 +156,6 @@ impl Default for AnnOptions {
             ef_construction: p.ef_construction,
             guard_every: 64,
             min_recall: 0.95,
-            auto_tune: false,
             seed: p.seed,
         }
     }
@@ -497,12 +488,6 @@ impl ServeEngine {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidInput,
                     "ann ef_search must be at least 1",
-                ));
-            }
-            if ann.auto_tune && ann.guard_every == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "ann auto_tune requires the recall guard (guard_every > 0)",
                 ));
             }
         }
@@ -1101,7 +1086,6 @@ impl Writer {
         let touched = &list.nodes;
         let m = &self.shared.metrics;
         let ann = self.ann.as_mut().map(|master| {
-            master.tune(m);
             let start = Instant::now();
             let (relinked, unchanged) = master.indexes.refresh(&scorer, touched);
             let frozen = master.freeze(self.retired_ann.take());
@@ -1170,8 +1154,7 @@ impl Shared {
     /// arm answered; `ann = None` is always the exact scan (exact serving,
     /// and the recall guard's ground truth). A pure function of `snap`,
     /// which is what lets `verify` re-run it against historical epochs: the
-    /// beam uses the epoch's *stamped* widths, not the live options, so an
-    /// old epoch replays its exact beam even after the auto-tuner moved on.
+    /// beam uses the epoch's stamped widths, not the live options.
     fn score(
         &self,
         snap: &EpochSnapshot,

@@ -238,8 +238,8 @@ metrics! {
     /// Counts ids × groups actually re-linked, so it reflects the real batch
     /// size the shared beam amortizes over.
     ann_refresh_batch: Gauge, "Ids re-linked into the ANN indexes at the most recent epoch.";
-    ann_ef_search: Gauge, "ef_search in effect (moves under auto-tuning; 0 = ANN off).";
-    ann_ef_margin: Gauge, "ef_margin in effect (moves under auto-tuning).";
+    ann_ef_search: Gauge, "ef_search in effect (0 = ANN off).";
+    ann_ef_margin: Gauge, "ef_margin in effect.";
     /// Scaled as `1 + round(ewma · 1e6)` so 0 means "no guard check yet".
     /// Updated by [`ServeMetrics::record_guard_recall`].
     ann_recall_ewma_scaled: Internal, "Moving average of guard-measured recall.";

@@ -251,3 +251,24 @@ fn bad_invocations_fail_cleanly() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--cheese"), "error must name the flag: {err}");
 }
+
+#[test]
+fn help_prints_usage_and_flags() {
+    // `supa --help`, `supa help`, and `--help` anywhere among a command's
+    // flags: the text goes to stdout and the exit code is 0.
+    for (args, want) in [
+        (&["--help"][..], "usage: supa <"),
+        (&["help"], "usage: supa <"),
+        (&["serve", "--help"], "  --stream-tsv VALUE\n"),
+        (&["serve", "--help"], "  --ann\n"),
+        (
+            &["ingest", "--data", "/definitely/not/here.tsv", "--help"],
+            "  --out VALUE",
+        ),
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert!(out.status.success(), "args {args:?} should succeed");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(want), "{args:?}: {stdout}");
+    }
+}
