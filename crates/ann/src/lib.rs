@@ -31,10 +31,16 @@
 //!   cloning an index — what each published serving epoch does — is a
 //!   handful of `memcpy`s, and dropping one is a handful of frees.
 //!
-//! The crate is dependency-free; vectors are plain `&[f32]` rows.
+//! Vectors are plain `&[f32]` rows. The crate's two dependencies are the
+//! workspace's byte codec (`supa_embed::codec`), which every persisted
+//! index goes through, and `supa_rng::SplitMix64`, the layer-assignment
+//! hash.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+use supa_embed::codec::{put_f32s, put_u32, put_u32s, put_u64, Reader, Truncated};
+use supa_rng::SplitMix64;
 
 #[cfg(test)]
 mod golden;
@@ -277,16 +283,6 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
     a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// SplitMix64 — the layer-assignment hash. Chosen for full 64-bit avalanche
-/// so consecutive item ids land on independent layer draws.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 #[inline]
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -466,11 +462,13 @@ impl HnswIndex {
     /// `(cfg.seed, id)`, so a node keeps its level across updates and
     /// rebuilds (the determinism contract's first leg).
     pub fn level_for(&self, id: u32) -> usize {
-        let mut h = splitmix64(self.cfg.seed ^ ((id as u64) << 1 | 1));
+        // SplitMix64's full 64-bit avalanche lands consecutive ids on
+        // independent layer draws.
+        let mut h = SplitMix64(self.cfg.seed ^ ((id as u64) << 1 | 1)).next_u64();
         let mut level = 0usize;
         while level < MAX_LEVEL && (h as usize).is_multiple_of(self.cfg.m) {
             level += 1;
-            h = splitmix64(h);
+            h = SplitMix64(h).next_u64();
         }
         level
     }
@@ -1063,14 +1061,15 @@ const SERDE_MAGIC: &[u8; 8] = b"SUPANN01";
 const MAX_ITEMS: u64 = 1 << 31;
 const MAX_DIM: u64 = 1 << 20;
 
-/// Errors from [`HnswIndex::write_to`] / [`HnswIndex::read_from`]. Decoding
-/// never panics and never yields a structurally invalid index: every failure
-/// is one of these named cases.
-#[derive(Debug)]
+/// Errors from [`HnswIndex::from_bytes`] and [`decode_index_set`].
+/// Decoding never panics and never yields a structurally invalid index:
+/// every failure is one of these named cases.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnnIoError {
-    /// Underlying reader/writer error.
-    Io(std::io::Error),
-    /// The stream does not start with the `SUPANN01` magic.
+    /// The input ended before a field, or a count declared more bytes than
+    /// remain.
+    Truncated,
+    /// The input does not start with the `SUPANN01` (or `SUPANNS1`) magic.
     BadMagic,
     /// Structural validation failed (bounds, counts, duplicate ids, …).
     Corrupt(&'static str),
@@ -1082,7 +1081,7 @@ pub enum AnnIoError {
 impl std::fmt::Display for AnnIoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AnnIoError::Io(e) => write!(f, "ann index io: {e}"),
+            AnnIoError::Truncated => write!(f, "ann index truncated: {Truncated}"),
             AnnIoError::BadMagic => write!(f, "ann index: bad magic (not a SUPANN01 stream)"),
             AnnIoError::Corrupt(what) => write!(f, "ann index corrupt: {what}"),
             AnnIoError::FingerprintMismatch { stored, computed } => write!(
@@ -1093,18 +1092,11 @@ impl std::fmt::Display for AnnIoError {
     }
 }
 
-impl std::error::Error for AnnIoError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            AnnIoError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for AnnIoError {}
 
-impl From<std::io::Error> for AnnIoError {
-    fn from(e: std::io::Error) -> Self {
-        AnnIoError::Io(e)
+impl From<Truncated> for AnnIoError {
+    fn from(_: Truncated) -> Self {
+        AnnIoError::Truncated
     }
 }
 
@@ -1114,7 +1106,19 @@ impl From<std::io::Error> for AnnIoError {
 /// bit-identical to the saved one and verifiably so. Checkpoint v3 and
 /// replication baseline frames carry these bytes opaquely.
 impl HnswIndex {
-    /// Serializes the index. Layout (all little-endian):
+    /// Every neighbor list in persisted order: slot by slot, layer 0 up to
+    /// the slot's level.
+    fn lists(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.levels
+            .iter()
+            .enumerate()
+            .flat_map(move |(slot, &level)| {
+                (0..=level as usize).map(move |layer| self.links.get(slot as u32, layer))
+            })
+    }
+
+    /// Serializes the index into one exactly-sized buffer. Layout (all
+    /// little-endian):
     ///
     /// ```text
     /// "SUPANN01" | dim u64 | m u64 | ef_construction u64 | seed u64
@@ -1126,79 +1130,60 @@ impl HnswIndex {
     ///           | vectors n·dim×f32 (bit patterns)
     ///           | fingerprint u64
     /// ```
-    pub fn write_to<W: std::io::Write>(&self, w: &mut W) -> Result<(), AnnIoError> {
-        w.write_all(SERDE_MAGIC)?;
-        let header = [
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let n = self.ids.len();
+        let link_words: usize = self.lists().map(|list| 1 + list.len()).sum();
+        let len = 8 + 6 * 8 + 5 * n + 4 * link_words + 4 * self.vectors.len() + 8;
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(SERDE_MAGIC);
+        for v in [
             self.dim as u64,
             self.cfg.m as u64,
             self.cfg.ef_construction as u64,
             self.cfg.seed,
-            self.entry.map(|e| e as u64 + 1).unwrap_or(0),
-            self.ids.len() as u64,
-        ];
-        for v in header {
-            w.write_all(&v.to_le_bytes())?;
+            self.entry.map_or(0, |e| e as u64 + 1),
+            n as u64,
+        ] {
+            put_u64(&mut out, v);
         }
-        for &id in &self.ids {
-            w.write_all(&id.to_le_bytes())?;
+        put_u32s(&mut out, &self.ids);
+        out.extend_from_slice(&self.levels);
+        for list in self.lists() {
+            put_u32(&mut out, list.len() as u32);
+            put_u32s(&mut out, list);
         }
-        w.write_all(&self.levels)?;
-        for (slot, &level) in self.levels.iter().enumerate() {
-            for layer in 0..=level as usize {
-                let list = self.links.get(slot as u32, layer);
-                w.write_all(&(list.len() as u32).to_le_bytes())?;
-                for &n in list {
-                    w.write_all(&n.to_le_bytes())?;
-                }
-            }
-        }
-        let mut row = Vec::with_capacity(self.dim * 4);
-        for chunk in self.vectors.chunks(self.dim.max(1)) {
-            row.clear();
-            for v in chunk {
-                row.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            w.write_all(&row)?;
-        }
-        w.write_all(&self.fingerprint().to_le_bytes())?;
-        Ok(())
-    }
-
-    /// The serialized index as an owned byte buffer (what checkpoints and
-    /// baseline frames embed).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.vectors.len() * 4);
-        self.write_to(&mut out)
-            .expect("Vec<u8> writes are infallible");
+        put_f32s(&mut out, &self.vectors);
+        put_u64(&mut out, self.fingerprint());
+        debug_assert_eq!(out.len(), len, "index bytes sized wrong");
         out
     }
 
-    /// Deserializes an index written by [`HnswIndex::write_to`], validating
-    /// structure (bounds, counts, duplicate ids) and then the stored
-    /// fingerprint against a recomputation — a decode that returns `Ok` is
-    /// bit-identical to the index that was saved, never silently corrupt.
-    pub fn read_from<R: std::io::Read>(r: &mut R) -> Result<HnswIndex, AnnIoError> {
-        fn u64_of<R: std::io::Read>(r: &mut R) -> Result<u64, AnnIoError> {
-            let mut b = [0u8; 8];
-            r.read_exact(&mut b)?;
-            Ok(u64::from_le_bytes(b))
+    /// Deserializes an index written by [`HnswIndex::to_bytes`], rejecting
+    /// trailing bytes. Structure (bounds, counts, levels, duplicate ids) is
+    /// validated and then the stored fingerprint against a recomputation —
+    /// a decode that returns `Ok` is bit-identical to the index that was
+    /// saved, never silently corrupt.
+    pub fn from_bytes(bytes: &[u8]) -> Result<HnswIndex, AnnIoError> {
+        let mut r = Reader::new(bytes);
+        let idx = HnswIndex::decode(&mut r)?;
+        if !r.is_empty() {
+            return Err(AnnIoError::Corrupt("trailing bytes after index"));
         }
-        fn u32_of<R: std::io::Read>(r: &mut R) -> Result<u32, AnnIoError> {
-            let mut b = [0u8; 4];
-            r.read_exact(&mut b)?;
-            Ok(u32::from_le_bytes(b))
-        }
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != SERDE_MAGIC {
+        Ok(idx)
+    }
+
+    /// Every count is checked against its bound, and [`Reader`] checks it
+    /// against the bytes that remain, before anything is allocated for it.
+    fn decode(r: &mut Reader<'_>) -> Result<HnswIndex, AnnIoError> {
+        if r.take(8)? != SERDE_MAGIC {
             return Err(AnnIoError::BadMagic);
         }
-        let dim = u64_of(r)?;
-        let m = u64_of(r)?;
-        let ef_construction = u64_of(r)?;
-        let seed = u64_of(r)?;
-        let entry = u64_of(r)?;
-        let n = u64_of(r)?;
+        let dim = r.u64()?;
+        let m = r.u64()?;
+        let ef_construction = r.u64()?;
+        let seed = r.u64()?;
+        let entry = r.u64()?;
+        let n = r.u64()?;
         if dim == 0 || dim > MAX_DIM {
             return Err(AnnIoError::Corrupt("implausible dimension"));
         }
@@ -1208,7 +1193,7 @@ impl HnswIndex {
         if n > MAX_ITEMS {
             return Err(AnnIoError::Corrupt("implausible item count"));
         }
-        let n = n as usize;
+        let (dim, n) = (dim as usize, n as usize);
         if entry > n as u64 {
             return Err(AnnIoError::Corrupt("entry point out of bounds"));
         }
@@ -1217,83 +1202,61 @@ impl HnswIndex {
                 "entry point inconsistent with item count",
             ));
         }
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(u32_of(r)?);
+        let cfg = AnnConfig {
+            m: m as usize,
+            ef_construction: ef_construction as usize,
+            seed,
+        };
+        let mut idx = HnswIndex::new(dim, cfg);
+        idx.ids = r.u32s(n)?;
+        idx.levels = r.take(n)?.to_vec();
+        // Levels are a pure function of (seed, m, id), so a level that
+        // disagrees is corruption of the level, the id or the config —
+        // the config lies outside the fingerprint.
+        if idx
+            .ids
+            .iter()
+            .zip(&idx.levels)
+            .any(|(&id, &l)| l as usize != idx.level_for(id))
+        {
+            return Err(AnnIoError::Corrupt(
+                "level differs from the seed's assignment",
+            ));
         }
-        let mut levels = vec![0u8; n];
-        r.read_exact(&mut levels)?;
-        if levels.iter().any(|&l| l as usize > MAX_LEVEL) {
-            return Err(AnnIoError::Corrupt("level above MAX_LEVEL"));
-        }
-        let mut links = LinkArena::new(m as usize);
-        for (slot, &level) in levels.iter().enumerate() {
-            links.add_slot(level as usize);
-            for layer in 0..=level as usize {
-                let len = u32_of(r)? as usize;
+        for slot in 0..n as u32 {
+            let level = idx.levels[slot as usize] as usize;
+            idx.links.add_slot(level);
+            for layer in 0..=level {
+                let len = r.u32()? as usize;
                 if len > n {
                     return Err(AnnIoError::Corrupt("neighbor list longer than index"));
                 }
                 // A list at rest leaves its run's last entry free for the
                 // backlink a later link pushes before pruning.
-                if len >= links.stride(layer) {
+                if len >= idx.links.stride(layer) {
                     return Err(AnnIoError::Corrupt("neighbor list longer than its run"));
                 }
                 for _ in 0..len {
-                    let s = u32_of(r)?;
+                    let s = r.u32()?;
                     if s as usize >= n {
                         return Err(AnnIoError::Corrupt("neighbor slot out of bounds"));
                     }
-                    links.push(slot as u32, layer, s);
+                    idx.links.push(slot, layer, s);
                 }
             }
         }
-        let mut vectors = Vec::with_capacity(n * dim as usize);
-        let mut row = vec![0u8; dim as usize * 4];
-        for _ in 0..n {
-            r.read_exact(&mut row)?;
-            for b in row.chunks_exact(4) {
-                vectors.push(f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])));
-            }
-        }
-        let stored = u64_of(r)?;
-        let mut slot_of = std::collections::HashMap::with_capacity(n);
-        for (slot, &id) in ids.iter().enumerate() {
-            if slot_of.insert(id, slot as u32).is_some() {
+        idx.vectors = r.f32s(n.saturating_mul(dim))?;
+        let stored = r.u64()?;
+        idx.slot_of.reserve(n);
+        for (slot, &id) in idx.ids.iter().enumerate() {
+            if idx.slot_of.insert(id, slot as u32).is_some() {
                 return Err(AnnIoError::Corrupt("duplicate external id"));
             }
         }
-        let idx = HnswIndex {
-            cfg: AnnConfig {
-                m: m as usize,
-                ef_construction: ef_construction as usize,
-                seed,
-            },
-            dim: dim as usize,
-            ids,
-            levels,
-            vectors,
-            links,
-            slot_of,
-            entry: if entry == 0 {
-                None
-            } else {
-                Some(entry as u32 - 1)
-            },
-        };
+        idx.entry = entry.checked_sub(1).map(|e| e as u32);
         let computed = idx.fingerprint();
         if computed != stored {
             return Err(AnnIoError::FingerprintMismatch { stored, computed });
-        }
-        Ok(idx)
-    }
-
-    /// Deserializes from an in-memory buffer, rejecting trailing garbage.
-    pub fn from_bytes(bytes: &[u8]) -> Result<HnswIndex, AnnIoError> {
-        let mut cursor = bytes;
-        let idx = HnswIndex::read_from(&mut cursor)?;
-        if !cursor.is_empty() {
-            return Err(AnnIoError::Corrupt("trailing bytes after index"));
         }
         Ok(idx)
     }
@@ -1311,13 +1274,14 @@ pub type IndexSet = Vec<Option<HnswIndex>>;
 /// than this is corruption, not a real deployment.
 const MAX_SET_AXIS: u64 = 1 << 12;
 
-/// Serializes a partition-major set of optional indexes plus two opaque
-/// `u64` stamps (the serving layer records the effective
-/// `ef_search`/`ef_margin` there so a restored engine resumes the tuner
-/// where it left off). The serving layer writes exactly one partition; the
-/// outer axis stays so that sets written with several still decode. The
-/// inner indexes use the [`HnswIndex::write_to`] format, each guarded by
-/// its own fingerprint trailer.
+/// Serializes a partition-major set of optional indexes. The serving layer
+/// writes exactly one partition; the outer axis stays so that sets written
+/// with several still decode. The inner indexes use the
+/// [`HnswIndex::to_bytes`] format, each guarded by its own fingerprint
+/// trailer. The two `stamps` are written as given (the serving layer
+/// passes its configured `ef_search`/`ef_margin`, so the set's bytes stay
+/// what they were when a beam-width tuner resumed from them); nothing
+/// reads them back, and [`decode_index_set`] skips them.
 ///
 /// ```text
 /// "SUPANNS1" | stamp0 u64 | stamp1 u64 | n_partitions u64
@@ -1328,17 +1292,17 @@ const MAX_SET_AXIS: u64 = 1 << 12;
 pub fn encode_index_set(partitions: &[&[Option<HnswIndex>]], stamps: [u64; 2]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(SET_MAGIC);
-    out.extend_from_slice(&stamps[0].to_le_bytes());
-    out.extend_from_slice(&stamps[1].to_le_bytes());
-    out.extend_from_slice(&(partitions.len() as u64).to_le_bytes());
+    put_u64(&mut out, stamps[0]);
+    put_u64(&mut out, stamps[1]);
+    put_u64(&mut out, partitions.len() as u64);
     for groups in partitions {
-        out.extend_from_slice(&(groups.len() as u64).to_le_bytes());
+        put_u64(&mut out, groups.len() as u64);
         for index in groups.iter() {
             match index {
                 Some(idx) => {
                     out.push(1);
                     let bytes = idx.to_bytes();
-                    out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+                    put_u64(&mut out, bytes.len() as u64);
                     out.extend_from_slice(&bytes);
                 }
                 None => out.push(0),
@@ -1352,57 +1316,37 @@ pub fn encode_index_set(partitions: &[&[Option<HnswIndex>]], stamps: [u64; 2]) -
 /// outer framing and every inner index (structure + fingerprint). Trailing
 /// garbage is rejected, so adopting a decoded set is all-or-nothing — a
 /// caller either gets the exact saved family or a named error and rebuilds.
-pub fn decode_index_set(bytes: &[u8]) -> Result<(Vec<IndexSet>, [u64; 2]), AnnIoError> {
-    let mut cur = bytes;
-    fn u64_of(cur: &mut &[u8]) -> Result<u64, AnnIoError> {
-        if cur.len() < 8 {
-            return Err(AnnIoError::Corrupt("index set truncated"));
-        }
-        let (head, rest) = cur.split_at(8);
-        *cur = rest;
-        Ok(u64::from_le_bytes(head.try_into().unwrap()))
-    }
-    if cur.len() < 8 || &cur[..8] != SET_MAGIC {
+pub fn decode_index_set(bytes: &[u8]) -> Result<Vec<IndexSet>, AnnIoError> {
+    let mut r = Reader::new(bytes);
+    if r.take(8)? != SET_MAGIC {
         return Err(AnnIoError::BadMagic);
     }
-    cur = &cur[8..];
-    let stamps = [u64_of(&mut cur)?, u64_of(&mut cur)?];
-    let n_partitions = u64_of(&mut cur)?;
+    // The two stamps: written, never read.
+    r.take(16)?;
+    let n_partitions = r.u64()?;
     if n_partitions > MAX_SET_AXIS {
         return Err(AnnIoError::Corrupt("implausible partition count"));
     }
     let mut partitions = Vec::with_capacity(n_partitions as usize);
     for _ in 0..n_partitions {
-        let n_groups = u64_of(&mut cur)?;
+        let n_groups = r.u64()?;
         if n_groups > MAX_SET_AXIS {
             return Err(AnnIoError::Corrupt("implausible group count"));
         }
         let mut groups = Vec::with_capacity(n_groups as usize);
         for _ in 0..n_groups {
-            let Some((&flag, rest)) = cur.split_first() else {
-                return Err(AnnIoError::Corrupt("index set truncated"));
-            };
-            cur = rest;
-            match flag {
-                0 => groups.push(None),
-                1 => {
-                    let len = u64_of(&mut cur)? as usize;
-                    if len > cur.len() {
-                        return Err(AnnIoError::Corrupt("index set truncated"));
-                    }
-                    let (head, rest) = cur.split_at(len);
-                    cur = rest;
-                    groups.push(Some(HnswIndex::from_bytes(head)?));
-                }
+            groups.push(match r.u8()? {
+                0 => None,
+                1 => Some(HnswIndex::from_bytes(r.section()?)?),
                 _ => return Err(AnnIoError::Corrupt("index presence flag out of range")),
-            }
+            });
         }
         partitions.push(groups);
     }
-    if !cur.is_empty() {
+    if !r.is_empty() {
         return Err(AnnIoError::Corrupt("trailing bytes after index set"));
     }
-    Ok((partitions, stamps))
+    Ok(partitions)
 }
 
 #[cfg(test)]
@@ -1864,10 +1808,10 @@ mod tests {
             Err(AnnIoError::BadMagic)
         ));
 
-        // Truncation anywhere surfaces as Io (read_exact hits EOF).
+        // Truncation anywhere is a named truncation.
         assert!(matches!(
             HnswIndex::from_bytes(&bytes[..bytes.len() / 2]),
-            Err(AnnIoError::Io(_))
+            Err(AnnIoError::Truncated)
         ));
 
         // A flipped bit inside the vector slab decodes structurally but
@@ -1895,17 +1839,18 @@ mod tests {
         let b = build(&random_vectors(90, 8, 71), AnnConfig::default());
         let set = [[Some(a.clone()), None], [None, Some(b.clone())]];
         let bytes = encode_index_set(&[&set[0], &set[1]], [96, 32]);
-        let (back, stamps) = decode_index_set(&bytes).expect("set decodes");
-        assert_eq!(stamps, [96, 32]);
+        // The stamps are written as given, after the magic.
+        assert_eq!(bytes[8..16], 96u64.to_le_bytes());
+        assert_eq!(bytes[16..24], 32u64.to_le_bytes());
+        let back = decode_index_set(&bytes).expect("set decodes");
         assert_eq!(back.len(), 2);
         assert_eq!(back[0][0].as_ref().unwrap().fingerprint(), a.fingerprint());
         assert!(back[0][1].is_none());
         assert!(back[1][0].is_none());
         assert_eq!(back[1][1].as_ref().unwrap().fingerprint(), b.fingerprint());
         // Empty set (no partitions) round-trips too.
-        let (empty, stamps) = decode_index_set(&encode_index_set(&[], [0, 0])).unwrap();
+        let empty = decode_index_set(&encode_index_set(&[], [0, 0])).unwrap();
         assert!(empty.is_empty());
-        assert_eq!(stamps, [0, 0]);
     }
 
     #[test]
@@ -1917,7 +1862,7 @@ mod tests {
         assert!(matches!(decode_index_set(&bad), Err(AnnIoError::BadMagic)));
         assert!(matches!(
             decode_index_set(&bytes[..bytes.len() - 5]),
-            Err(AnnIoError::Corrupt(_)) | Err(AnnIoError::Io(_))
+            Err(AnnIoError::Truncated)
         ));
         // A presence flag outside {0, 1} is named, not interpreted.
         let mut flag = bytes.clone();

@@ -41,13 +41,13 @@
 //! skipping truncated or corrupt ones with a reported reason.
 
 use std::fs;
-use std::io::{Error, ErrorKind, Read, Result, Write};
+use std::io::{Error, ErrorKind, Result, Write};
 use std::path::{Path, PathBuf};
 
 use supa_embed::codec::{put_f64, put_u32, put_u64, Reader};
 use supa_embed::EmbeddingTable;
 
-use crate::framing::{crc32_finish, crc32_update, CRC_INIT};
+use crate::framing::{check_crc, crc32_finish, crc32_update, CRC_INIT};
 use crate::model::{AdamScalar, Supa, SupaState};
 
 const MAGIC_V1: &[u8; 8] = b"SUPAv001";
@@ -189,40 +189,20 @@ impl Supa {
     }
 
     /// Writes the learnable state (Eq. 5/6 memories, context embeddings,
-    /// α drift scalars, all optimiser moments) to `w` in the v2 format with
-    /// `events_consumed = 0`.
-    pub fn save_checkpoint<W: Write>(&self, w: &mut W) -> Result<()> {
-        self.save_checkpoint_at(w, 0)
-    }
-
-    /// Like [`Supa::save_checkpoint`], recording the stream position
-    /// (`events_consumed`) the state corresponds to, so a restart can skip
-    /// already-trained events.
-    pub fn save_checkpoint_at<W: Write>(&self, w: &mut W, events_consumed: u64) -> Result<()> {
-        self.write_checkpoint(w, events_consumed, None)
-    }
-
-    /// Writes a v3 checkpoint: the learnable state plus an opaque serving
-    /// `index` section (the serving engine's serialized ANN indexes), all
-    /// under one CRC. Restoring with
-    /// [`Supa::load_checkpoint_meta_with_index`] hands the bytes back so a
-    /// resume can skip the index rebuild.
-    pub fn save_checkpoint_with_index<W: Write>(
-        &self,
-        w: &mut W,
-        events_consumed: u64,
-        index: &[u8],
-    ) -> Result<()> {
-        self.write_checkpoint(w, events_consumed, Some(index))
-    }
-
-    /// Writes a v2 checkpoint, or a v3 one when `index` is given, straight
-    /// to `w`: the state body streams out one table at a time (see
+    /// α drift scalars, all optimiser moments) to `w`, recording the stream
+    /// position (`events_consumed`) the state corresponds to, so a restart
+    /// can skip already-trained events. The format is v2, or v3 when
+    /// `index` is given: an opaque serving-index section (the serving
+    /// engine's serialized ANN indexes) under the same CRC, which
+    /// [`Supa::load_checkpoint`] hands back so a resume can skip the index
+    /// rebuild.
+    ///
+    /// The state body streams out one table at a time (see
     /// `write_state_body`) and the CRC is folded in as the bytes go, so a
     /// save holds no copy of the whole state: at Taobao 1.0 that copy is
     /// 29.4 MB, enough to set the peak memory of a serving process that
     /// checkpoints.
-    fn write_checkpoint<W: Write>(
+    pub fn save_checkpoint<W: Write>(
         &self,
         w: &mut W,
         events_consumed: u64,
@@ -245,116 +225,45 @@ impl Supa {
         w.write_all(&crc.to_le_bytes())
     }
 
-    /// Restores a checkpoint written by [`Supa::save_checkpoint`] (either
-    /// format version).
+    /// Restores a checkpoint of any format version from its bytes,
+    /// returning the header metadata (stream position, format version) and
+    /// the v3 opaque index section. The section is `None` for v1/v2
+    /// checkpoints and for v3 checkpoints saved without an index — the
+    /// caller's rebuild fallback, reported by version, never silently wrong
+    /// (the whole file is CRC'd).
     ///
-    /// The checkpoint must pass its CRC (v2) and structurally match this
-    /// model (same relation count, α count and dimension); any failure is
-    /// an [`ErrorKind::InvalidData`] error and leaves the model unchanged.
-    pub fn load_checkpoint<R: Read>(&mut self, r: &mut R) -> Result<()> {
-        self.load_checkpoint_meta(r).map(|_| ())
-    }
-
-    /// Like [`Supa::load_checkpoint`], additionally returning the header
-    /// metadata (stream position, format version).
-    pub fn load_checkpoint_meta<R: Read>(&mut self, r: &mut R) -> Result<CheckpointMeta> {
-        self.load_checkpoint_meta_with_index(r)
-            .map(|(meta, _)| meta)
-    }
-
-    /// Like [`Supa::load_checkpoint_meta`], additionally returning the v3
-    /// opaque index section. `None` for v1/v2 checkpoints and for v3
-    /// checkpoints saved without an index — the caller's rebuild fallback,
-    /// reported by version, never silently wrong (the whole file is CRC'd).
-    pub fn load_checkpoint_meta_with_index<R: Read>(
-        &mut self,
-        r: &mut R,
-    ) -> Result<(CheckpointMeta, Option<Vec<u8>>)> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        let version: u8 = if &magic == MAGIC_V3 {
-            3
-        } else if &magic == MAGIC_V2 {
-            2
-        } else if &magic == MAGIC_V1 {
-            1
-        } else {
-            return Err(Error::new(ErrorKind::InvalidData, "not a SUPA checkpoint"));
+    /// The checkpoint must pass its CRC (v2/v3) and structurally match
+    /// this model (same relation count, α count and dimension); any
+    /// failure is an error and leaves the model unchanged.
+    pub fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(CheckpointMeta, Option<Vec<u8>>)> {
+        let truncated = |_| Error::new(ErrorKind::UnexpectedEof, "truncated checkpoint");
+        let mut r = Reader::new(bytes);
+        let version = match r.take(8).map_err(truncated)? {
+            m if m == MAGIC_V1 => 1,
+            m if m == MAGIC_V2 => 2,
+            m if m == MAGIC_V3 => 3,
+            _ => return Err(Error::new(ErrorKind::InvalidData, "not a SUPA checkpoint")),
         };
-        if version == 1 {
-            // Legacy format: a bare body running to the end of the file, no
-            // stream position, no CRC. Bytes after the body are ignored.
-            let mut rest = Vec::new();
-            r.read_to_end(&mut rest)?;
-            let staged = read_state_body(&mut Reader::new(&rest))?;
-            self.validate_state_layout(&staged)?;
-            self.restore(staged);
-            return Ok((
-                CheckpointMeta {
-                    events_consumed: 0,
-                    version: 1,
-                },
-                None,
-            ));
-        }
-        let mut events_buf = [0u8; 8];
-        r.read_exact(&mut events_buf)?;
-        let mut len_buf = [0u8; 8];
-        r.read_exact(&mut len_buf)?;
-        let payload_len = u64::from_le_bytes(len_buf);
-        // `take` + `read_to_end` instead of a `with_capacity` prealloc:
-        // a corrupt length field must not OOM us before the CRC check.
-        let mut payload = Vec::new();
-        let n = r.take(payload_len).read_to_end(&mut payload)?;
-        if n as u64 != payload_len {
-            return Err(Error::new(
-                ErrorKind::UnexpectedEof,
-                "truncated checkpoint: payload shorter than header claims",
-            ));
-        }
-        // v3 appends the opaque index section before the CRC.
-        let mut index_len_buf = [0u8; 8];
-        let mut index = Vec::new();
-        if version == 3 {
-            r.read_exact(&mut index_len_buf).map_err(|_| {
-                Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "truncated checkpoint: missing index length",
-                )
-            })?;
-            let index_len = u64::from_le_bytes(index_len_buf);
-            let n = r.take(index_len).read_to_end(&mut index)?;
-            if n as u64 != index_len {
-                return Err(Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "truncated checkpoint: index shorter than header claims",
-                ));
+        // A v1 checkpoint is a bare body running to the end of the file: no
+        // stream position, no CRC, and bytes after the body are ignored.
+        let (events_consumed, mut body, index) = match version {
+            1 => (0, r, None),
+            _ => {
+                let events_consumed = r.u64().map_err(truncated)?;
+                let body = r.section().map_err(truncated)?;
+                let index = match version {
+                    3 => Some(r.section().map_err(truncated)?),
+                    _ => None,
+                };
+                let covered = &bytes[8..bytes.len() - r.remaining()];
+                check_crc(covered, r.u32().map_err(truncated)?).map_err(|e| {
+                    Error::new(ErrorKind::InvalidData, format!("corrupt checkpoint: {e}"))
+                })?;
+                (events_consumed, Reader::new(body), index)
             }
-        }
-        let mut crc_buf = [0u8; 4];
-        r.read_exact(&mut crc_buf).map_err(|_| {
-            Error::new(
-                ErrorKind::UnexpectedEof,
-                "truncated checkpoint: missing CRC",
-            )
-        })?;
-        let mut crc = CRC_INIT;
-        crc = crc32_update(crc, &events_buf);
-        crc = crc32_update(crc, &len_buf);
-        crc = crc32_update(crc, &payload);
-        if version == 3 {
-            crc = crc32_update(crc, &index_len_buf);
-            crc = crc32_update(crc, &index);
-        }
-        if crc32_finish(crc) != u32::from_le_bytes(crc_buf) {
-            return Err(Error::new(
-                ErrorKind::InvalidData,
-                "corrupt checkpoint: CRC mismatch",
-            ));
-        }
-        let mut body = Reader::new(&payload);
+        };
         let staged = read_state_body(&mut body)?;
-        if !body.is_empty() {
+        if version > 1 && !body.is_empty() {
             return Err(Error::new(
                 ErrorKind::InvalidData,
                 "corrupt checkpoint: trailing bytes after state",
@@ -362,17 +271,12 @@ impl Supa {
         }
         self.validate_state_layout(&staged)?;
         self.restore(staged);
-        Ok((
-            CheckpointMeta {
-                events_consumed: u64::from_le_bytes(events_buf),
-                version,
-            },
-            if version == 3 && !index.is_empty() {
-                Some(index)
-            } else {
-                None
-            },
-        ))
+        let meta = CheckpointMeta {
+            events_consumed,
+            version,
+        };
+        let index = index.filter(|bytes| !bytes.is_empty());
+        Ok((meta, index.map(<[u8]>::to_vec)))
     }
 }
 
@@ -405,6 +309,9 @@ pub struct ResumeOutcome {
     /// The checkpoint that loaded, with its stream position — `None` if no
     /// valid checkpoint existed.
     pub loaded: Option<(PathBuf, u64)>,
+    /// The loaded checkpoint's opaque index section (`None` when it is
+    /// v1/v2 or carries no index — the caller rebuilds).
+    pub index: Option<Vec<u8>>,
     /// Checkpoints that were skipped, newest-first, with the reason each
     /// failed to load.
     pub skipped: Vec<(PathBuf, String)>,
@@ -503,10 +410,7 @@ impl CheckpointManager {
         {
             let mut f = fs::File::create(&tmp_path)?;
             let mut w = std::io::BufWriter::new(&mut f);
-            match index {
-                Some(index) => model.save_checkpoint_with_index(&mut w, events_consumed, index)?,
-                None => model.save_checkpoint_at(&mut w, events_consumed)?,
-            }
+            model.save_checkpoint(&mut w, events_consumed, index)?;
             w.flush()?;
             drop(w);
             // Durability point: the bytes must be on disk *before* the
@@ -549,34 +453,25 @@ impl CheckpointManager {
 
     /// Loads the newest valid checkpoint into `model`, skipping (and
     /// reporting) any that are truncated, corrupt, or structurally
-    /// incompatible. The model is untouched unless a checkpoint loads.
+    /// incompatible, and hands back its index section. The model is
+    /// untouched unless a checkpoint loads.
     pub fn resume(&self, model: &mut Supa) -> Result<ResumeOutcome> {
-        self.resume_with_index(model).map(|(outcome, _)| outcome)
-    }
-
-    /// Like [`CheckpointManager::resume`], additionally returning the
-    /// loaded checkpoint's opaque index section (`None` when the loaded
-    /// checkpoint is v1/v2 or carries no index — the caller rebuilds).
-    pub fn resume_with_index(&self, model: &mut Supa) -> Result<(ResumeOutcome, Option<Vec<u8>>)> {
         let mut outcome = ResumeOutcome {
             loaded: None,
+            index: None,
             skipped: Vec::new(),
         };
-        let mut index = None;
         for (_, path) in Self::scan(&self.dir)?.into_iter().rev() {
-            let attempt = fs::File::open(&path).and_then(|f| {
-                model.load_checkpoint_meta_with_index(&mut std::io::BufReader::new(f))
-            });
-            match attempt {
-                Ok((meta, idx)) => {
+            match fs::read(&path).and_then(|bytes| model.load_checkpoint(&bytes)) {
+                Ok((meta, index)) => {
                     outcome.loaded = Some((path, meta.events_consumed));
-                    index = idx;
+                    outcome.index = index;
                     break;
                 }
                 Err(e) => outcome.skipped.push((path, e.to_string())),
             }
         }
-        Ok((outcome, index))
+        Ok(outcome)
     }
 }
 
@@ -621,7 +516,7 @@ mod tests {
     fn checkpoint_roundtrip_is_exact() {
         let (m, d) = trained_model();
         let mut blob = Vec::new();
-        m.save_checkpoint(&mut blob).unwrap();
+        m.save_checkpoint(&mut blob, 0, None).unwrap();
 
         // A fresh model with the same layout but different seed.
         let mut m2 = fresh_model(&d, 999);
@@ -630,7 +525,7 @@ mod tests {
             m.gamma(probe.0, probe.1, probe.2),
             m2.gamma(probe.0, probe.1, probe.2)
         );
-        m2.load_checkpoint(&mut blob.as_slice()).unwrap();
+        m2.load_checkpoint(&blob).unwrap();
         assert_eq!(
             m.gamma(probe.0, probe.1, probe.2),
             m2.gamma(probe.0, probe.1, probe.2)
@@ -643,7 +538,7 @@ mod tests {
         let (m, d) = trained_model();
         let g = d.full_graph();
         let mut blob = Vec::new();
-        m.save_checkpoint(&mut blob).unwrap();
+        m.save_checkpoint(&mut blob, 0, None).unwrap();
 
         // Continue training the original…
         let mut a = m;
@@ -653,7 +548,7 @@ mod tests {
         // before any further randomness is drawn.
         b.resolve_time_scale(&g);
         b.rebuild_negative_samplers(&g);
-        b.load_checkpoint(&mut blob.as_slice()).unwrap();
+        b.load_checkpoint(&blob).unwrap();
         let e = d.edges[500];
         // Both models score identically now.
         assert_eq!(
@@ -671,22 +566,22 @@ mod tests {
     #[test]
     fn garbage_and_mismatches_are_rejected() {
         let (mut m, d) = trained_model();
-        assert!(m.load_checkpoint(&mut &b"not a checkpoint"[..]).is_err());
+        assert!(m.load_checkpoint(b"not a checkpoint").is_err());
 
         // A checkpoint from a model with a different dimension.
         let other = Supa::from_dataset(&d, SupaConfig::small(), 1).unwrap(); // dim 32
         let mut blob = Vec::new();
-        other.save_checkpoint(&mut blob).unwrap();
-        assert!(m.load_checkpoint(&mut blob.as_slice()).is_err());
+        other.save_checkpoint(&mut blob, 0, None).unwrap();
+        assert!(m.load_checkpoint(&blob).is_err());
     }
 
     #[test]
     fn header_carries_stream_position() {
         let (m, d) = trained_model();
         let mut blob = Vec::new();
-        m.save_checkpoint_at(&mut blob, 12345).unwrap();
+        m.save_checkpoint(&mut blob, 12345, None).unwrap();
         let mut m2 = fresh_model(&d, 7);
-        let meta = m2.load_checkpoint_meta(&mut blob.as_slice()).unwrap();
+        let meta = m2.load_checkpoint(&blob).unwrap().0;
         assert_eq!(meta.events_consumed, 12345);
         assert_eq!(meta.version, 2);
     }
@@ -695,7 +590,7 @@ mod tests {
     fn every_flipped_byte_region_is_detected_and_model_unchanged() {
         let (m, d) = trained_model();
         let mut blob = Vec::new();
-        m.save_checkpoint_at(&mut blob, 777).unwrap();
+        m.save_checkpoint(&mut blob, 777, None).unwrap();
 
         let mut m2 = fresh_model(&d, 55);
         let before = m2.snapshot();
@@ -703,7 +598,7 @@ mod tests {
         for &pos in &[10usize, blob.len() / 2, blob.len() - 2] {
             let mut bad = blob.clone();
             bad[pos] ^= 0x40;
-            let err = m2.load_checkpoint(&mut bad.as_slice()).unwrap_err();
+            let err = m2.load_checkpoint(&bad).unwrap_err();
             assert!(
                 err.to_string().contains("CRC")
                     || err.kind() == ErrorKind::UnexpectedEof
@@ -720,15 +615,12 @@ mod tests {
     fn truncation_is_a_clean_error() {
         let (m, d) = trained_model();
         let mut blob = Vec::new();
-        m.save_checkpoint(&mut blob).unwrap();
+        m.save_checkpoint(&mut blob, 0, None).unwrap();
         let mut m2 = fresh_model(&d, 55);
         for cut in [blob.len() - 1, blob.len() / 2, 9, 20] {
             let mut bad = blob.clone();
             bad.truncate(cut);
-            assert!(
-                m2.load_checkpoint(&mut bad.as_slice()).is_err(),
-                "cut={cut}"
-            );
+            assert!(m2.load_checkpoint(&bad).is_err(), "cut={cut}");
         }
     }
 
@@ -737,13 +629,10 @@ mod tests {
         let (m, d) = trained_model();
         let index: Vec<u8> = (0..1000u32).flat_map(|x| x.to_le_bytes()).collect();
         let mut blob = Vec::new();
-        m.save_checkpoint_with_index(&mut blob, 4242, &index)
-            .unwrap();
+        m.save_checkpoint(&mut blob, 4242, Some(&index)).unwrap();
 
         let mut m2 = fresh_model(&d, 9);
-        let (meta, got) = m2
-            .load_checkpoint_meta_with_index(&mut blob.as_slice())
-            .unwrap();
+        let (meta, got) = m2.load_checkpoint(&blob).unwrap();
         assert_eq!(meta.version, 3);
         assert_eq!(meta.events_consumed, 4242);
         assert_eq!(got.as_deref(), Some(index.as_slice()));
@@ -751,15 +640,13 @@ mod tests {
 
         // The plain meta loader accepts v3 too (drops the index).
         let mut m3 = fresh_model(&d, 10);
-        let meta = m3.load_checkpoint_meta(&mut blob.as_slice()).unwrap();
+        let meta = m3.load_checkpoint(&blob).unwrap().0;
         assert_eq!(meta.version, 3);
 
         // An empty index section reads back as None (rebuild fallback).
         let mut empty = Vec::new();
-        m.save_checkpoint_with_index(&mut empty, 1, &[]).unwrap();
-        let (_, got) = m2
-            .load_checkpoint_meta_with_index(&mut empty.as_slice())
-            .unwrap();
+        m.save_checkpoint(&mut empty, 1, Some(&[])).unwrap();
+        let (_, got) = m2.load_checkpoint(&empty).unwrap();
         assert!(got.is_none());
     }
 
@@ -767,11 +654,9 @@ mod tests {
     fn v2_checkpoints_yield_no_index_bytes() {
         let (m, d) = trained_model();
         let mut blob = Vec::new();
-        m.save_checkpoint_at(&mut blob, 77).unwrap();
+        m.save_checkpoint(&mut blob, 77, None).unwrap();
         let mut m2 = fresh_model(&d, 9);
-        let (meta, idx) = m2
-            .load_checkpoint_meta_with_index(&mut blob.as_slice())
-            .unwrap();
+        let (meta, idx) = m2.load_checkpoint(&blob).unwrap();
         assert_eq!(meta.version, 2);
         assert!(
             idx.is_none(),
@@ -784,23 +669,19 @@ mod tests {
         let (m, d) = trained_model();
         let index = vec![0xABu8; 512];
         let mut blob = Vec::new();
-        m.save_checkpoint_with_index(&mut blob, 5, &index).unwrap();
+        m.save_checkpoint(&mut blob, 5, Some(&index)).unwrap();
         let mut m2 = fresh_model(&d, 9);
         let before = m2.snapshot();
         // Flip a byte inside the index section (it sits just before the CRC).
         let mut bad = blob.clone();
         let pos = blob.len() - 100;
         bad[pos] ^= 0x10;
-        let err = m2
-            .load_checkpoint_meta_with_index(&mut bad.as_slice())
-            .unwrap_err();
+        let err = m2.load_checkpoint(&bad).unwrap_err();
         assert!(err.to_string().contains("CRC"), "{err}");
         // Truncating the index mid-section is a clean EOF error.
         let mut cut = blob.clone();
         cut.truncate(blob.len() - 50);
-        assert!(m2
-            .load_checkpoint_meta_with_index(&mut cut.as_slice())
-            .is_err());
+        assert!(m2.load_checkpoint(&cut).is_err());
         assert_eq!(m2.state().h_long.data(), before.h_long.data());
     }
 
@@ -815,18 +696,18 @@ mod tests {
         mgr.save_with_index(&m, 200, &index).unwrap();
 
         let mut m2 = fresh_model(&d, 5);
-        let (out, got) = mgr.resume_with_index(&mut m2).unwrap();
+        let out = mgr.resume(&mut m2).unwrap();
         assert_eq!(out.loaded.as_ref().unwrap().1, 200);
-        assert_eq!(got.as_deref(), Some(index.as_slice()));
+        assert_eq!(out.index.as_deref(), Some(index.as_slice()));
 
         // Corrupt the newest: resume falls back to the v2 save, no index.
         let newest = mgr.list().unwrap().last().unwrap().1.clone();
         let blob = fs::read(&newest).unwrap();
         fs::write(&newest, &blob[..blob.len() - 8]).unwrap();
         let mut m3 = fresh_model(&d, 5);
-        let (out, got) = mgr.resume_with_index(&mut m3).unwrap();
+        let out = mgr.resume(&mut m3).unwrap();
         assert_eq!(out.loaded.as_ref().unwrap().1, 100);
-        assert!(got.is_none());
+        assert!(out.index.is_none());
         assert_eq!(out.skipped.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -838,7 +719,7 @@ mod tests {
         blob.extend_from_slice(MAGIC_V1);
         write_state_body(m.state(), &mut blob).unwrap();
         let mut m2 = fresh_model(&d, 999);
-        let meta = m2.load_checkpoint_meta(&mut blob.as_slice()).unwrap();
+        let meta = m2.load_checkpoint(&blob).unwrap().0;
         assert_eq!(meta.version, 1);
         assert_eq!(meta.events_consumed, 0);
         assert_eq!(m.state().h_long.data(), m2.state().h_long.data());
@@ -860,16 +741,16 @@ mod tests {
         let mut v1 = MAGIC_V1.to_vec();
         write_state_body(m.state(), &mut v1).unwrap();
         let v1 = with_huge_row_count(v1, 8);
-        let err = m2.load_checkpoint(&mut v1.as_slice()).unwrap_err();
+        let err = m2.load_checkpoint(&v1).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
         // v2 with the CRC recomputed, so the count gets past the checksum.
         let mut v2 = Vec::new();
-        m.save_checkpoint_at(&mut v2, 9).unwrap();
+        m.save_checkpoint(&mut v2, 9, None).unwrap();
         let mut v2 = with_huge_row_count(v2, 24);
         let n = v2.len();
         let crc = crate::framing::crc32(&v2[8..n - 4]);
         v2[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        let err = m2.load_checkpoint(&mut v2.as_slice()).unwrap_err();
+        let err = m2.load_checkpoint(&v2).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
         assert_eq!(m2.state().h_long.data(), before.h_long.data());
     }

@@ -36,7 +36,7 @@ use supa_embed::codec::{put_f32s, put_u16, put_u32, put_u32s, put_u64, Reader, T
 use supa_embed::EmbeddingValues;
 use supa_graph::{NodeId, RelationId, TemporalEdge};
 
-use crate::framing::{crc32, crc32_finish, crc32_update, CRC_INIT};
+use crate::framing::{check_crc, crc32, CrcMismatch};
 use crate::serving::ServingSnapshot;
 
 /// Magic prefix of a delta frame.
@@ -518,19 +518,10 @@ fn decode_baseline_payload(payload: &[u8], v1: bool) -> Result<BaselineFrame, Wi
     let guard = guard(&mut c)?;
     // Optional trailing index section: pre-index frames end at the guard,
     // newer writers may append `len (u64 LE) | bytes`.
-    let index = if !c.is_empty() {
-        let n = c.u64()?;
-        if n > MAX_PAYLOAD {
-            return Err(WireError::ImplausibleLength(n));
-        }
-        let bytes = c.take(n as usize)?.to_vec();
-        if bytes.is_empty() {
-            None
-        } else {
-            Some(bytes)
-        }
-    } else {
+    let index = if c.is_empty() {
         None
+    } else {
+        Some(c.section()?).filter(|bytes| !bytes.is_empty())
     };
     done(&c)?;
     Ok(BaselineFrame {
@@ -544,8 +535,28 @@ fn decode_baseline_payload(payload: &[u8], v1: bool) -> Result<BaselineFrame, Wi
             bypass_gen: 0,
         },
         guard,
-        index,
+        index: index.map(<[u8]>::to_vec),
     })
+}
+
+/// Bytes before a frame's payload: the 13-byte magic and the `u64` length.
+const HEADER_LEN: usize = 13 + 8;
+
+impl From<CrcMismatch> for WireError {
+    fn from(CrcMismatch { expected, got }: CrcMismatch) -> Self {
+        WireError::CrcMismatch { expected, got }
+    }
+}
+
+/// Reads a frame header: the magic, then the payload length, checked for
+/// plausibility before anyone allocates for it.
+fn header(r: &mut Reader<'_>) -> Result<(Magic, usize), WireError> {
+    let magic = Magic::parse(r.take(13)?).ok_or(WireError::WrongMagic)?;
+    let len = r.u64()?;
+    if len > MAX_PAYLOAD {
+        return Err(WireError::ImplausibleLength(len));
+    }
+    Ok((magic, len as usize))
 }
 
 /// Decodes one frame from the front of `buf`, returning the frame and the
@@ -554,89 +565,50 @@ fn decode_baseline_payload(payload: &[u8], v1: bool) -> Result<BaselineFrame, Wi
 /// [`WireError::Truncated`] and bit-rot as [`WireError::CrcMismatch`] before
 /// any layout interpretation happens.
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
-    if buf.len() < 13 {
-        return Err(WireError::Truncated);
-    }
-    let magic = Magic::parse(&buf[..13]).ok_or(WireError::WrongMagic)?;
-    if buf.len() < 13 + 8 {
-        return Err(WireError::Truncated);
-    }
-    let len_bytes: [u8; 8] = buf[13..21].try_into().unwrap();
-    let len = u64::from_le_bytes(len_bytes);
-    if len > MAX_PAYLOAD {
-        return Err(WireError::ImplausibleLength(len));
-    }
-    let payload_end = 21 + len as usize;
-    if buf.len() < payload_end + 4 {
-        return Err(WireError::Truncated);
-    }
-    let payload = &buf[21..payload_end];
-    let got = u32::from_le_bytes(buf[payload_end..payload_end + 4].try_into().unwrap());
-    let mut crc = CRC_INIT;
-    crc = crc32_update(crc, &len_bytes);
-    crc = crc32_update(crc, payload);
-    let expected = crc32_finish(crc);
-    if got != expected {
-        return Err(WireError::CrcMismatch { expected, got });
-    }
-    Ok((decode_payload(magic, payload)?, payload_end + 4))
+    let mut r = Reader::new(buf);
+    let (magic, len) = header(&mut r)?;
+    let payload = r.take(len)?;
+    check_crc(&buf[13..HEADER_LEN + len], r.u32()?)?;
+    let frame = if magic.delta {
+        Frame::Delta(decode_delta_payload(payload, magic.v1)?)
+    } else {
+        Frame::Baseline(decode_baseline_payload(payload, magic.v1)?)
+    };
+    Ok((frame, HEADER_LEN + len + 4))
 }
 
-/// Reads one frame from a byte stream (the TCP transport). Returns
-/// `Ok(None)` on a clean EOF at a frame boundary; an EOF mid-frame is a
-/// [`WireError::Truncated`].
-pub fn read_frame<R: std::io::Read>(r: &mut R) -> Result<Option<Frame>, WireError> {
-    let mut magic = [0u8; 13];
-    // Distinguish clean EOF (no bytes at all) from a torn frame.
+/// Reads one frame from a byte stream (the TCP transport) into one buffer
+/// and decodes it as [`decode_frame`] does, returning the frame and its
+/// length on the wire. Returns `Ok(None)` on a clean EOF at a frame
+/// boundary; an EOF mid-frame is a [`WireError::Truncated`].
+pub fn read_frame<R: std::io::Read>(r: &mut R) -> Result<Option<(Frame, usize)>, WireError> {
+    let mut buf = vec![0u8; HEADER_LEN];
+    let got = fill(r, &mut buf)?;
+    if got == 0 {
+        return Ok(None);
+    }
+    // A short header fails here as a slice would: wrong magic or truncated.
+    let (_, len) = header(&mut Reader::new(&buf[..got]))?;
+    buf.resize(HEADER_LEN + len + 4, 0);
+    if fill(r, &mut buf[HEADER_LEN..])? < len + 4 {
+        return Err(WireError::Truncated);
+    }
+    decode_frame(&buf).map(Some)
+}
+
+/// Reads into `buf` until it is full or the stream ends, returning the
+/// bytes read.
+fn fill<R: std::io::Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, WireError> {
     let mut got = 0;
-    while got < magic.len() {
-        match r.read(&mut magic[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(WireError::Truncated),
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
             Ok(n) => got += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    let magic = Magic::parse(&magic).ok_or(WireError::WrongMagic)?;
-    let mut len_bytes = [0u8; 8];
-    read_fully(r, &mut len_bytes)?;
-    let len = u64::from_le_bytes(len_bytes);
-    if len > MAX_PAYLOAD {
-        return Err(WireError::ImplausibleLength(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_fully(r, &mut payload)?;
-    let mut crc_bytes = [0u8; 4];
-    read_fully(r, &mut crc_bytes)?;
-    let got_crc = u32::from_le_bytes(crc_bytes);
-    let mut crc = CRC_INIT;
-    crc = crc32_update(crc, &len_bytes);
-    crc = crc32_update(crc, &payload);
-    let expected = crc32_finish(crc);
-    if got_crc != expected {
-        return Err(WireError::CrcMismatch {
-            expected,
-            got: got_crc,
-        });
-    }
-    Ok(Some(decode_payload(magic, &payload)?))
-}
-
-fn decode_payload(magic: Magic, payload: &[u8]) -> Result<Frame, WireError> {
-    Ok(if magic.delta {
-        Frame::Delta(decode_delta_payload(payload, magic.v1)?)
-    } else {
-        Frame::Baseline(decode_baseline_payload(payload, magic.v1)?)
-    })
-}
-
-fn read_fully<R: std::io::Read>(r: &mut R, buf: &mut [u8]) -> Result<(), WireError> {
-    match r.read_exact(buf) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Err(WireError::Truncated),
-        Err(e) => Err(WireError::Io(e)),
-    }
+    Ok(got)
 }
 
 // ---------------------------------------------------------------------------
@@ -997,11 +969,9 @@ mod tests {
         // Fix up the length header so the frame parses to payload stage.
         let new_len = (with_index.len() - 13 - 8 - 4 - 100) as u64;
         torn[13..21].copy_from_slice(&new_len.to_le_bytes());
-        let mut crc = CRC_INIT;
-        crc = crc32_update(crc, &new_len.to_le_bytes());
-        crc = crc32_update(crc, &torn[21..torn.len() - 4]);
         let n = torn.len();
-        torn[n - 4..].copy_from_slice(&crc32_finish(crc).to_le_bytes());
+        let crc = crc32(&torn[13..n - 4]);
+        torn[n - 4..].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(decode_frame(&torn), Err(WireError::Truncated)));
     }
 
@@ -1114,17 +1084,58 @@ mod tests {
         let mut r = &stream[..];
         assert!(matches!(
             read_frame(&mut r).unwrap(),
-            Some(Frame::Baseline(_))
+            Some((Frame::Baseline(_), _))
         ));
-        assert!(matches!(read_frame(&mut r).unwrap(), Some(Frame::Delta(_))));
+        assert!(matches!(
+            read_frame(&mut r).unwrap(),
+            Some((Frame::Delta(_), _))
+        ));
         assert!(read_frame(&mut r).unwrap().is_none());
         // Torn tail: EOF mid-frame is Truncated, not a clean end.
         let torn = &stream[..stream.len() - 3];
         let mut r = torn;
         assert!(matches!(
             read_frame(&mut r).unwrap(),
-            Some(Frame::Baseline(_))
+            Some((Frame::Baseline(_), _))
         ));
         assert!(matches!(read_frame(&mut r), Err(WireError::Truncated)));
+    }
+
+    /// The stream reader and the slice decoder agree frame for frame, and
+    /// both report each frame's length as written — for a `v001` frame too,
+    /// which decodes into the `v002` layout and so re-encodes to other bytes.
+    #[test]
+    fn read_frame_yields_what_decode_frame_yields() {
+        let (before, after, touched, events) = trained_pair();
+        let mut stream = encode_baseline(1, &before, GuardState::default());
+        for (epoch, cut) in [(2u64, 10usize), (3, 35), (4, 60)] {
+            let delta = after.extract_delta(
+                epoch,
+                epoch - 1,
+                &touched[..cut.min(touched.len())],
+                events[..cut].to_vec(),
+                GuardState::default(),
+            );
+            stream.extend_from_slice(&delta.encode());
+        }
+        let v001 = include_bytes!("../../../tests/data/golden_delta_v001.bin");
+        stream.extend_from_slice(v001);
+
+        let (mut sliced, mut pos) = (Vec::new(), 0);
+        while pos < stream.len() {
+            let (frame, used) = decode_frame(&stream[pos..]).unwrap();
+            sliced.push((frame, used));
+            pos += used;
+        }
+        let mut streamed = Vec::new();
+        let mut r = &stream[..];
+        while let Some(next) = read_frame(&mut r).unwrap() {
+            streamed.push(next);
+        }
+        assert_eq!(sliced.len(), 5);
+        assert_eq!(streamed, sliced);
+        let last = &streamed[4];
+        assert_eq!(last.1, v001.len());
+        assert_ne!(last.0.encode().len(), v001.len());
     }
 }

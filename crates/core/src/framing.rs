@@ -106,6 +106,36 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_finish(crc32_update(CRC_INIT, data))
 }
 
+/// A CRC-32 trailer that does not match the bytes it covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrcMismatch {
+    /// The CRC of the covered bytes.
+    pub expected: u32,
+    /// The trailer as stored.
+    pub got: u32,
+}
+
+impl std::fmt::Display for CrcMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let CrcMismatch { expected, got } = self;
+        write!(
+            f,
+            "CRC mismatch (expected {expected:#010x}, got {got:#010x})"
+        )
+    }
+}
+
+/// Checks a stored CRC-32 trailer, `got`, against `covered`: every byte of
+/// the envelope after its magic and before the trailer.
+pub fn check_crc(covered: &[u8], got: u32) -> Result<(), CrcMismatch> {
+    let expected = crc32(covered);
+    if expected == got {
+        Ok(())
+    } else {
+        Err(CrcMismatch { expected, got })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

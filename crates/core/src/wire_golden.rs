@@ -126,9 +126,9 @@ fn golden_hashes() -> [u64; 4] {
     let m = golden_model();
     let index = index_blob();
     let mut v2 = Vec::new();
-    m.save_checkpoint_at(&mut v2, 4242).unwrap();
+    m.save_checkpoint(&mut v2, 4242, None).unwrap();
     let mut v3 = Vec::new();
-    m.save_checkpoint_with_index(&mut v3, 4242, &index).unwrap();
+    m.save_checkpoint(&mut v3, 4242, Some(&index)).unwrap();
     let (delta, baseline) = golden_frames(&m);
     [v2, v3, delta, baseline].map(|b| fnv1a64(&b))
 }

@@ -490,9 +490,24 @@ pub fn save_tsv<W: Write>(dataset: &Dataset, mut w: W) -> std::io::Result<()> {
 /// [`write_edge_line`] per edge; the streaming converter (`supa ingest
 /// --out`) uses the split to emit a canonical header and then append edges
 /// it never materialises.
+///
+/// The comment line is the dataset's [`Dataset::summary`]. A dataset that
+/// holds no edges (a streamed prototype, whose edges follow the header)
+/// cannot count them, so its line leaves `|E|` and `|T|` out.
 pub fn save_header<W: Write>(dataset: &Dataset, w: &mut W) -> std::io::Result<()> {
     let schema = dataset.prototype.schema();
-    writeln!(w, "# {}", dataset.summary())?;
+    if dataset.edges.is_empty() {
+        writeln!(
+            w,
+            "# {}: |V|={} |O|={} |R|={}",
+            dataset.name,
+            dataset.num_nodes(),
+            schema.num_node_types(),
+            schema.num_relations()
+        )?;
+    } else {
+        writeln!(w, "# {}", dataset.summary())?;
+    }
     for (_, name) in schema.node_types() {
         writeln!(w, "nodetype {name}")?;
     }

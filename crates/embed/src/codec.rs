@@ -1,8 +1,9 @@
-//! The little-endian slice codec every binary format of the SUPA writer is
-//! built from: [`EmbeddingTable`](crate::EmbeddingTable) blobs, checkpoint
-//! bodies (`supa::checkpoint`) and replication frames (`supa::delta`). It
-//! lives in the lowest crate that serialises anything, so all three share
-//! one implementation.
+//! The little-endian slice codec every binary format of the workspace is
+//! built from: [`EmbeddingTable`](crate::EmbeddingTable) blobs, checkpoints
+//! (`supa::checkpoint`), replication frames (`supa::delta`) and the ANN
+//! index and index-set formats (`supa_ann`'s `SUPANN01`/`SUPANNS1`). It
+//! lives in the lowest crate that serialises anything, so all four share
+//! one implementation, and each format has one encoder and one decoder.
 //!
 //! Encoding appends to a `Vec<u8>` one whole slice at a time; callers size
 //! the buffer exactly up front, so a multi-megabyte checkpoint is written
@@ -143,6 +144,13 @@ impl<'a> Reader<'a> {
     /// The next little-endian `f64`.
     pub fn f64(&mut self) -> Result<f64, Truncated> {
         self.array().map(f64::from_le_bytes)
+    }
+
+    /// A little-endian `u64` byte count, then that many bytes, borrowed
+    /// from the input.
+    pub fn section(&mut self) -> Result<&'a [u8], Truncated> {
+        let n = self.u64()?;
+        self.take(usize::try_from(n).map_err(|_| Truncated)?)
     }
 
     /// The next `n` little-endian `f32`s.

@@ -15,7 +15,7 @@
 //!   random-walk baselines;
 //! - [`vecmath`]: the small slice kernels everything else builds on;
 //! - [`codec`]: the bounds-checked little-endian slice codec behind every
-//!   table blob, checkpoint and replication frame.
+//!   table blob, checkpoint, replication frame and persisted ANN index.
 
 pub mod alias;
 pub mod codec;

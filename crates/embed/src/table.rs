@@ -308,38 +308,6 @@ impl EmbeddingTable {
         codec::put_u32s(out, &self.adam_t);
     }
 
-    /// Writes the blob of [`EmbeddingTable::encode_into`] to `w`.
-    pub fn write_to<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut blob = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut blob);
-        w.write_all(&blob)
-    }
-
-    /// Reads a table previously written with [`EmbeddingTable::write_to`],
-    /// consuming exactly its bytes from `r`.
-    pub fn read_from<R: std::io::Read>(r: &mut R) -> std::io::Result<Self> {
-        use std::io::Read;
-        let mut blob = vec![0u8; BLOB_HEADER];
-        r.read_exact(&mut blob)?;
-        let mut header = Reader::new(&blob);
-        let (n, dim) = (header.u64()?, header.u64()?);
-        let body = usize::try_from(n)
-            .ok()
-            .zip(usize::try_from(dim).ok())
-            .and_then(|(n, dim)| n.checked_mul(dim.checked_mul(12)?.checked_add(4)?))
-            .ok_or_else(corrupt_header)?;
-        // `take` + `read_to_end` grows with the bytes actually read, so a
-        // corrupt row count cannot allocate ahead of the input.
-        let got = r.take(body as u64).read_to_end(&mut blob)?;
-        if got != body {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "embedding table blob shorter than its header claims",
-            ));
-        }
-        Self::decode(&mut Reader::new(&blob))
-    }
-
     /// Decodes a blob written by [`EmbeddingTable::encode_into`]. Every
     /// block's length is checked against the bytes that remain before it
     /// is allocated, so a corrupt row count is an
@@ -608,8 +576,11 @@ mod tests {
         t.adam_step_row(3, &[1.0, 1.0, 1.0], 0.05);
 
         let mut blob = Vec::new();
-        t.write_to(&mut blob).unwrap();
-        let t2 = EmbeddingTable::read_from(&mut blob.as_slice()).unwrap();
+        t.encode_into(&mut blob);
+        assert_eq!(blob.len(), t.encoded_len());
+        let mut r = Reader::new(&blob);
+        let t2 = EmbeddingTable::decode(&mut r).unwrap();
+        assert!(r.is_empty());
         assert_eq!(t2.len(), t.len());
         assert_eq!(t2.dim(), t.dim());
         assert_eq!(t2.data(), t.data());
@@ -742,9 +713,9 @@ mod tests {
     fn truncated_blob_is_an_error() {
         let t = table(3, 2);
         let mut blob = Vec::new();
-        t.write_to(&mut blob).unwrap();
+        t.encode_into(&mut blob);
         blob.truncate(blob.len() - 5);
-        assert!(EmbeddingTable::read_from(&mut blob.as_slice()).is_err());
+        assert!(EmbeddingTable::decode(&mut Reader::new(&blob)).is_err());
     }
 
     #[test]
@@ -754,7 +725,7 @@ mod tests {
         blob.extend_from_slice(&1u64.to_le_bytes());
         blob.extend_from_slice(&0u64.to_le_bytes());
         blob.extend_from_slice(&[0u8; 64]);
-        assert!(EmbeddingTable::read_from(&mut blob.as_slice()).is_err());
+        assert!(EmbeddingTable::decode(&mut Reader::new(&blob)).is_err());
     }
 
     #[test]

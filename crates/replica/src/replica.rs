@@ -170,7 +170,7 @@ impl Replica {
                             None
                         });
                     self.indexes = Some(match adopted {
-                        Some((indexes, _stamps)) => {
+                        Some(indexes) => {
                             self.counters.index_adoptions += 1;
                             indexes
                         }
@@ -333,20 +333,14 @@ pub fn run_tcp(addr: &str, replica: &mut Replica, max_resyncs: usize) -> Result<
         let mut reader = BufReader::new(stream);
         let disconnect = loop {
             match read_frame(&mut reader) {
-                Ok(Some(frame)) => {
-                    // Frame sizes are re-derived from the encoding; close
-                    // enough for lag/bytes accounting without re-encoding.
-                    match replica.apply(&frame) {
-                        Ok(()) => {
-                            replica.counters.bytes_applied += frame.encode().len() as u64;
-                        }
-                        Err(WireError::EpochGap { .. }) => {
-                            replica.counters.gaps += 1;
-                            break None;
-                        }
-                        Err(err) => break Some(err),
+                Ok(Some((frame, len))) => match replica.apply(&frame) {
+                    Ok(()) => replica.counters.bytes_applied += len as u64,
+                    Err(WireError::EpochGap { .. }) => {
+                        replica.counters.gaps += 1;
+                        break None;
                     }
-                }
+                    Err(err) => break Some(err),
+                },
                 Ok(None) => return Ok(()),
                 Err(WireError::CrcMismatch { .. } | WireError::Truncated) => {
                     replica.counters.crc_failures += 1;

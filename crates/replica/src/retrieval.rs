@@ -194,22 +194,21 @@ impl GroupIndexes {
 }
 
 /// Decodes a persisted `SUPANNS1` index set (every fingerprint verified)
-/// and adopts it against `catalog`'s full candidate lists, returning the
-/// adopted indexes and the set's stamps. The format keeps an outer
-/// partition axis; an index set must carry exactly one partition — an older
-/// multi-partition set is refused by name, and the caller rebuilds.
+/// and adopts it against `catalog`'s full candidate lists. The format keeps
+/// an outer partition axis; an index set must carry exactly one partition —
+/// an older multi-partition set is refused by name, and the caller
+/// rebuilds.
 pub fn adopt_index_set(
     dim: usize,
     catalog: &Catalog,
     bytes: &[u8],
-) -> Result<(GroupIndexes, [u64; 2]), String> {
-    let (sets, stamps) = decode_index_set(bytes).map_err(|e| e.to_string())?;
+) -> Result<GroupIndexes, String> {
+    let sets = decode_index_set(bytes).map_err(|e| e.to_string())?;
     let [set] = <[_; 1]>::try_from(sets).map_err(|sets: Vec<_>| {
         let n = sets.len();
         format!("index set has {n} partition(s), one is required")
     })?;
-    let indexes = GroupIndexes::adopt(dim, catalog.groups().to_vec(), set)?;
-    Ok((indexes, stamps))
+    GroupIndexes::adopt(dim, catalog.groups().to_vec(), set)
 }
 
 /// Reusable buffers for [`retrieve`] (beam search, survivors, top-K): once
@@ -325,16 +324,14 @@ mod tests {
         assert_eq!(fingerprints(&adopted), fingerprints(&built));
     }
 
-    /// A one-partition set adopts with its stamps and fingerprints; an
-    /// older two-partition set (two halves of the catalog) is refused by
-    /// name.
+    /// A one-partition set adopts with its fingerprints; an older
+    /// two-partition set (two halves of the catalog) is refused by name.
     #[test]
     fn adopt_index_set_takes_one_partition_and_refuses_two() {
         let (catalog, snap) = fixture(4);
         let whole = GroupIndexes::build(config(), &snap, catalog.groups().to_vec());
         let bytes = supa_ann::encode_index_set(&[whole.indexes()], [40, 12]);
-        let (adopted, stamps) = adopt_index_set(snap.dim(), &catalog, &bytes).unwrap();
-        assert_eq!(stamps, [40, 12]);
+        let adopted = adopt_index_set(snap.dim(), &catalog, &bytes).unwrap();
         assert_eq!(fingerprints(&adopted), fingerprints(&whole));
 
         let halves = [0, 1].map(|s| {

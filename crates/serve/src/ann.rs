@@ -86,8 +86,10 @@ impl AnnMaster {
         }
     }
 
-    /// Serializes the index set (with the beam widths as stamps)
-    /// for the checkpoint's opaque index section, as one partition.
+    /// Serializes the index set for the checkpoint's opaque index section,
+    /// as one partition. The configured beam widths fill the set's two
+    /// stamps, which no reader reads back; they stay so that the set's
+    /// bytes do not move.
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let stamps = [self.ef_search as u64, self.ef_margin as u64];
         supa_ann::encode_index_set(&[self.indexes.indexes()], stamps)
@@ -96,15 +98,15 @@ impl AnnMaster {
     /// Reconstructs the master from a checkpoint's index section instead of
     /// rebuilding, after the checks of [`adopt_index_set`]. Any mismatch is
     /// a named error — the caller falls back to a rebuild, never to
-    /// silently wrong indexes. The saved beam-width stamps are ignored: the
-    /// configured widths are the ones in force.
+    /// silently wrong indexes. The configured beam widths are the ones in
+    /// force.
     pub(crate) fn restore(
         opts: &AnnOptions,
         scorer: &ServingSnapshot,
         catalog: &Catalog,
         bytes: &[u8],
     ) -> Result<AnnMaster, String> {
-        let (indexes, _stamps) = adopt_index_set(scorer.dim(), catalog, bytes)?;
+        let indexes = adopt_index_set(scorer.dim(), catalog, bytes)?;
         Ok(AnnMaster::new(opts, catalog, indexes))
     }
 

@@ -566,7 +566,9 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             let f = std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?;
             let mut w = std::io::BufWriter::new(f);
-            model.save_checkpoint(&mut w).map_err(|e| e.to_string())?;
+            model
+                .save_checkpoint(&mut w, 0, None)
+                .map_err(|e| e.to_string())?;
             println!("checkpoint written to {out}");
             Ok(())
         }
@@ -581,9 +583,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             let mut model = build_model(&d, &flags)?;
             let blob = std::fs::read(ckpt).map_err(|e| format!("{ckpt}: {e}"))?;
-            model
-                .load_checkpoint(&mut blob.as_slice())
-                .map_err(|e| e.to_string())?;
+            model.load_checkpoint(&blob).map_err(|e| e.to_string())?;
             let g = {
                 let mut g = d.prototype.clone();
                 for e in train {
@@ -625,9 +625,7 @@ fn run(args: &[String]) -> Result<(), String> {
 
             let mut model = build_model(&d, &flags)?;
             let blob = std::fs::read(ckpt).map_err(|e| format!("{ckpt}: {e}"))?;
-            model
-                .load_checkpoint(&mut blob.as_slice())
-                .map_err(|e| e.to_string())?;
+            model.load_checkpoint(&blob).map_err(|e| e.to_string())?;
             let g = d.full_graph();
             if user as usize >= g.num_nodes() {
                 return Err(format!("user {user} is not a node"));

@@ -521,10 +521,10 @@ impl ServeEngine {
         if let Some(ck) = &cfg.checkpoint {
             let mgr = CheckpointManager::new(&ck.dir, ck.keep)?;
             if ck.resume {
-                let (outcome, index) = mgr.resume_with_index(&mut model)?;
+                let outcome = mgr.resume(&mut model)?;
                 if let Some((_, events)) = outcome.loaded {
                     resume_skip = events;
-                    resume_index = index;
+                    resume_index = outcome.index;
                     resumed = true;
                 }
             }

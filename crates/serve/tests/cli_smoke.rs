@@ -50,6 +50,46 @@ fn full_pipeline_runs() {
     assert!(stdout.contains("|E|="), "stats output: {stdout}");
     assert!(stdout.contains("degree"));
 
+    // ingest --out: the canonical file's header precedes the edges it
+    // streams, so its first line states the node universe and no edge or
+    // timestamp count.
+    let canon = tmp("taobao-canon.tsv");
+    let out = bin()
+        .args([
+            "ingest",
+            "--data",
+            data.to_str().unwrap(),
+            "--out",
+            canon.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let source = std::fs::read_to_string(&data).unwrap();
+    let written = std::fs::read_to_string(&canon).unwrap();
+    let first = written.lines().next().unwrap();
+    let nodes = |line: &str| {
+        line.split_whitespace()
+            .find(|t| t.starts_with("|V|="))
+            .map(String::from)
+    };
+    assert!(first.starts_with("# taobao: |V|="), "first line: {first}");
+    assert_eq!(
+        nodes(first),
+        nodes(source.lines().next().unwrap()),
+        "first line: {first}"
+    );
+    assert!(
+        !first.contains("|E|") && !first.contains("|T|"),
+        "first line: {first}"
+    );
+    let edges = |text: &str| text.lines().filter(|l| l.starts_with("edge ")).count();
+    assert_eq!(edges(&written), edges(&source));
+
     // mine
     let out = bin()
         .args(["mine", "--data", data.to_str().unwrap()])

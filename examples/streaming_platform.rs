@@ -80,11 +80,11 @@ fn main() {
     // process scores identically (Adam moments travel too, so training
     // resumes bit-exactly after a crash).
     let mut blob = Vec::new();
-    model.save_checkpoint(&mut blob).expect("serialise");
+    model
+        .save_checkpoint(&mut blob, 0, None)
+        .expect("serialise");
     let mut restarted = Supa::from_dataset(&data, SupaConfig::small(), 999).expect("fresh process");
-    restarted
-        .load_checkpoint(&mut blob.as_slice())
-        .expect("restore");
+    restarted.load_checkpoint(&blob).expect("restore");
     assert_eq!(
         model.score(e.src, e.dst, e.relation),
         restarted.score(e.src, e.dst, e.relation)

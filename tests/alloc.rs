@@ -8,44 +8,13 @@
 //! This binary holds exactly one test: the global allocator and its
 //! counters are process-wide state, so no other test may run beside it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
 use supa::{Supa, SupaConfig};
 use supa_datasets::taobao;
 
-/// Counts every allocation and reallocation while `COUNTING` is set.
-struct CountingAlloc;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use counting_alloc::{counted, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -72,15 +41,15 @@ fn steady_state_training_is_allocation_free() {
 
     // Counted: train + insert the second half. Walks, negatives, gradient
     // rows, Adam updates, and adjacency inserts must all reuse warm memory.
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let mut loss = 0.0;
-    for e in &d.edges[half..] {
-        loss += m.train_edge(&g, e).total();
-        g.add_edge(e.src, e.dst, e.relation, e.time).unwrap();
-    }
-    COUNTING.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let (loss, allocated) = counted(|| {
+        let mut loss = 0.0;
+        for e in &d.edges[half..] {
+            loss += m.train_edge(&g, e).total();
+            g.add_edge(e.src, e.dst, e.relation, e.time).unwrap();
+        }
+        loss
+    });
+    let allocs = allocated.calls;
 
     assert!(loss.is_finite() && loss > 0.0, "training must do real work");
     assert_eq!(

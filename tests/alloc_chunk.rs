@@ -22,48 +22,16 @@
 //! `tests/alloc.rs`: the global allocator and its counters are process-wide
 //! state.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
 use supa::{InsLearnConfig, Supa, SupaConfig, SupaState};
 use supa_datasets::taobao;
 
-/// Sums the requested bytes of every allocation and reallocation while
-/// `COUNTING` is set.
-struct ByteCountingAlloc;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn count(bytes: usize) {
-    if COUNTING.load(Ordering::Relaxed) {
-        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for ByteCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use counting_alloc::{counted, CountingAlloc};
 
 #[global_allocator]
-static ALLOCATOR: ByteCountingAlloc = ByteCountingAlloc;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// What the warm chunk asked for while training sampled inline.
 const INLINE_CHUNK_BYTES: usize = 1_952;
@@ -94,11 +62,8 @@ fn a_warm_chunk_allocates_under_an_eighth_of_the_state() {
     };
     m.train_inslearn(&g, &d.edges[..64], &cfg);
 
-    BYTES.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let report = m.train_inslearn(&g, &d.edges[64..128], &cfg);
-    COUNTING.store(false, Ordering::SeqCst);
-    let bytes = BYTES.load(Ordering::SeqCst) as usize;
+    let (report, allocated) = counted(|| m.train_inslearn(&g, &d.edges[64..128], &cfg));
+    let bytes = allocated.bytes;
 
     assert_eq!(report.batches, 1);
     assert!(

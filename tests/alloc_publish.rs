@@ -11,48 +11,16 @@
 //! `tests/alloc.rs`: the global allocator and its counters are process-wide
 //! state.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
 use supa::{InsLearnConfig, ServingSnapshot, Supa, SupaConfig, Touched};
 use supa_datasets::taobao;
 
-/// Sums the requested bytes of every allocation and reallocation while
-/// `COUNTING` is set.
-struct ByteCountingAlloc;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn count(bytes: usize) {
-    if COUNTING.load(Ordering::Relaxed) {
-        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for ByteCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use counting_alloc::{counted, CountingAlloc};
 
 #[global_allocator]
-static ALLOCATOR: ByteCountingAlloc = ByteCountingAlloc;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Bytes of a snapshot's value tables — the base table and one composite
 /// table per context table — at `d` `f32`s per row and table.
@@ -81,7 +49,8 @@ fn a_recycled_publish_allocates_under_a_hundredth_of_a_snapshot() {
     m.take_touched_into(&mut touched);
     assert!(!touched.nodes.is_empty());
 
-    let (patched, bytes) = counted(|| m.export_serving_snapshot_into(&mut snap, &touched));
+    let (patched, allocated) = counted(|| m.export_serving_snapshot_into(&mut snap, &touched));
+    let bytes = allocated.bytes;
     assert!(
         patched,
         "the snapshot was exported by this model, no bypass since"
@@ -97,19 +66,9 @@ fn a_recycled_publish_allocates_under_a_hundredth_of_a_snapshot() {
          snapshot: it must patch the touched rows in place"
     );
     // The gate tells the two apart: a fresh export asks for every byte.
-    let (_, fresh) = counted(|| m.export_serving_snapshot());
+    let fresh = counted(|| m.export_serving_snapshot()).1.bytes;
     assert!(
         fresh * 100 >= full,
         "export_serving_snapshot allocated only {fresh} B of the {full} B snapshot"
     );
-}
-
-/// Runs `f` with the allocator counting; returns its result and the bytes
-/// it asked for.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    BYTES.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let out = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    (out, BYTES.load(Ordering::SeqCst) as usize)
 }

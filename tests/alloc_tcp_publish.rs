@@ -13,8 +13,6 @@
 //! `tests/alloc.rs`: the global allocator and its counters are process-wide
 //! state.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use supa::delta::GuardState;
@@ -22,42 +20,13 @@ use supa::{InsLearnConfig, ServingSnapshot, Supa, SupaConfig};
 use supa_datasets::taobao;
 use supa_replica::{DeltaPublisher, PublishOptions};
 
-/// Sums the requested bytes of every allocation and reallocation while
-/// `COUNTING` is set.
-struct ByteCountingAlloc;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn count(bytes: usize) {
-    if COUNTING.load(Ordering::Relaxed) {
-        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for ByteCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use counting_alloc::{counted, CountingAlloc};
 
 #[global_allocator]
-static ALLOCATOR: ByteCountingAlloc = ByteCountingAlloc;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// An epoch's record around its snapshot, as the serving engine keeps one:
 /// the publisher shares whatever wraps a snapshot.
@@ -105,7 +74,7 @@ fn a_tcp_publish_shares_the_snapshot_instead_of_copying_it() {
             &cfg,
         );
         let snap = Arc::new(Epoch(m.export_serving_snapshot()));
-        let (published, bytes) = counted(|| {
+        let (published, allocated) = counted(|| {
             publisher.publish(
                 epoch,
                 epoch - 1,
@@ -116,6 +85,7 @@ fn a_tcp_publish_shares_the_snapshot_instead_of_copying_it() {
             )
         });
         assert!(published.unwrap() > 0);
+        let bytes = allocated.bytes;
         let full = snapshot_bytes(&m);
         assert!(
             bytes * 100 < full,
@@ -137,14 +107,4 @@ fn a_tcp_publish_shares_the_snapshot_instead_of_copying_it() {
     // Nor does anything keep it once the publisher is gone.
     drop(publisher);
     assert_eq!(Arc::strong_count(&newest), 1);
-}
-
-/// Runs `f` with the allocator counting; returns its result and the bytes
-/// it asked for.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    BYTES.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let out = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    (out, BYTES.load(Ordering::SeqCst) as usize)
 }
